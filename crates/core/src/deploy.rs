@@ -16,6 +16,10 @@
 //! residue class `i mod L`), subORAMs execute each batch on arrival, and
 //! responses only depend on epoch boundaries — integration tests check this.
 //!
+//! [`InProcessCluster::reshard`] grows or shrinks the fleet with the shared
+//! reshard driver ([`crate::reshard`]) over an mpsc adapter; each subORAM
+//! thread answers it with the shared staging machine.
+//!
 //! For chaos testing, [`InProcessCluster::start_with_faults`] boots the same
 //! topology with a [`FaultInjector`] wired into every link and an
 //! [`EpochFaultPolicy`] driving deadline-based recovery. Faults are injected
@@ -34,11 +38,13 @@ use std::time::{Duration, Instant};
 
 use crate::config::SnoopyConfig;
 use crate::link::Link;
+use crate::reshard::{
+    run_reshard, ReshardAdmin, ReshardJob, RpcFailure, Stager, StoreStaging, RPC_TIMEOUT,
+};
 use crate::transport::{
-    run_load_balancer_with_reshard, run_suboram_with_admin, ClientReply, EpochFaultPolicy,
-    FaultAction, FaultInjector, LbEvent, LbTransport, NoFaults, RecvOutcome, ReshardCmd,
-    ReshardControl, ReshardPhase, ReshardPlan, ReshardStatus, SubEvent, SubOramNode, SubReshardCmd,
-    SubReshardReply, SubTransport, Unavailable,
+    run_load_balancer, run_suboram, ClientReply, EpochFaultPolicy, FaultAction, FaultInjector,
+    LbEvent, LbTransport, NoFaults, RecvOutcome, ReshardCmd, ReshardControl, ReshardStatus,
+    SubEvent, SubOramNode, SubReshardCmd, SubReshardReply, SubTransport, Unavailable,
 };
 
 /// Messages into a load-balancer thread (its single mailbox).
@@ -298,6 +304,8 @@ pub struct InProcessCluster {
     shared_key: Key256,
     /// SubORAMs currently holding data (≤ the provisioned fleet size).
     active_suborams: usize,
+    /// Objects the deployment stores (a reshard must migrate all of them).
+    num_objects: u64,
     /// Layout generation (0 until a reshard ever commits).
     generation: u64,
 }
@@ -333,6 +341,7 @@ impl InProcessCluster {
         // without changing the link topology (all l×s links exist from
         // boot, so growing is a routing flip, not a re-keying).
         let active_s = config.initial_active();
+        let num_objects = objects.len() as u64;
         let mut prg = Prg::from_seed(seed);
         let shared_key = Key256::random(&mut prg);
         let mut parts = partition_objects(objects, &shared_key, active_s);
@@ -392,87 +401,18 @@ impl InProcessCluster {
                     value_len,
                     injector,
                 };
-                // Reshard staging state: a partition built for the next
-                // generation, held beside the live one until the driver's
-                // verdict. Staged under a generation-derived key so sealed
-                // storage never reuses a nonce stream across generations.
-                let mut staged: Option<(u64, usize, snoopy_suboram::SubOram)> = None;
                 // Commit dirty storage generations each epoch; a failed
                 // commit poisons the subORAM, which already surfaces on the
                 // wire as per-epoch refusals (channel clusters make no
                 // durability promise beyond that).
-                run_suboram_with_admin(
+                let mut stager = Stager::new(StoreStaging { storage, value_len, key, lambda });
+                run_suboram(
                     &mut transport,
                     &mut node,
                     |node, epoch| {
                         let _ = node.oram_mut().commit_storage(epoch);
                     },
-                    |node, cmd| match cmd {
-                        SubReshardCmd::Status => SubReshardReply::Status(ReshardStatus {
-                            generation: node.generation(),
-                            active_s: node.active_s(),
-                            phase: if staged.is_some() {
-                                ReshardPhase::Armed
-                            } else {
-                                ReshardPhase::Idle
-                            },
-                        }),
-                        SubReshardCmd::Export => {
-                            let mut objs = Vec::new();
-                            match node.oram().stream_objects(&mut |o| objs.push(o.clone())) {
-                                Ok(()) => SubReshardReply::Objects(objs),
-                                Err(e) => SubReshardReply::Failed(e.to_string()),
-                            }
-                        }
-                        SubReshardCmd::Install { generation, new_s, objects } => {
-                            let stage_key =
-                                key.derive(b"reshard-stage").derive(&generation.to_le_bytes());
-                            let oram = snoopy_store::build_suboram(
-                                storage, objects, value_len, stage_key, lambda,
-                            );
-                            staged = Some((generation, new_s, oram));
-                            SubReshardReply::Status(ReshardStatus {
-                                generation: node.generation(),
-                                active_s: node.active_s(),
-                                phase: ReshardPhase::Armed,
-                            })
-                        }
-                        SubReshardCmd::Commit { generation } => match staged.take() {
-                            Some((g, new_s, oram)) if g == generation => {
-                                // The commit point: the staged partition
-                                // becomes live; the old one is dropped (the
-                                // channel plane makes no durability promise,
-                                // so there is no checkpoint to rewrite).
-                                let _old = node.swap_oram(oram);
-                                node.set_layout(g, new_s);
-                                SubReshardReply::Status(ReshardStatus {
-                                    generation: g,
-                                    active_s: new_s,
-                                    phase: ReshardPhase::Idle,
-                                })
-                            }
-                            other => {
-                                staged = other;
-                                SubReshardReply::Failed(format!(
-                                    "no staged partition for generation {generation}"
-                                ))
-                            }
-                        },
-                        SubReshardCmd::Abort { generation } => {
-                            if staged.as_ref().is_some_and(|(g, ..)| *g == generation) {
-                                staged = None;
-                            }
-                            SubReshardReply::Status(ReshardStatus {
-                                generation: node.generation(),
-                                active_s: node.active_s(),
-                                phase: if staged.is_some() {
-                                    ReshardPhase::Armed
-                                } else {
-                                    ReshardPhase::Idle
-                                },
-                            })
-                        }
-                    },
+                    &mut stager,
                 );
             }));
         }
@@ -509,13 +449,7 @@ impl InProcessCluster {
                     }),
                     initial_generation: 0,
                 };
-                run_load_balancer_with_reshard(
-                    &mut transport,
-                    balancer,
-                    active_s,
-                    policy,
-                    Some(control),
-                );
+                run_load_balancer(&mut transport, balancer, policy, control);
             }));
         }
 
@@ -529,6 +463,7 @@ impl InProcessCluster {
             value_len: config.value_len,
             shared_key,
             active_suborams: active_s,
+            num_objects,
             generation: 0,
         }
     }
@@ -564,134 +499,22 @@ impl InProcessCluster {
     }
 
     /// Reshards the fleet to `new_s` active subORAMs at the next epoch
-    /// boundary — the channel-plane reference implementation of the elastic
-    /// reshard protocol (the TCP plane's driver in `snoopy-net` follows the
-    /// same phases):
-    ///
-    /// 1. **Plan**: every balancer arms `Reshard { new_s, generation }` and
-    ///    pauses at its next owned tick, buffering clients.
-    /// 2. **Migrate**: once all balancers are paused (no batches in flight
-    ///    anywhere), every subORAM exports its partition, the driver
-    ///    re-partitions the union with the shared keyed hash at `new_s`, and
-    ///    each subORAM stages its new partition beside the live one.
-    /// 3. **Commit**: subORAMs swap staged → live, then balancers flip their
-    ///    routing tables and release the held tick, so buffered requests
-    ///    execute entirely at the new layout.
-    ///
-    /// Any failure before the first subORAM commit aborts everywhere: staged
-    /// state is dropped, balancers resume the old layout, and the buffered
-    /// epoch executes as if the reshard were never attempted — acknowledged
-    /// writes are never lost either way.
+    /// boundary, with the shared driver ([`crate::reshard::run_reshard`])
+    /// over this cluster's channels. Migration payloads ride plaintext: the
+    /// channel plane's links never leave the process.
     pub fn reshard(&mut self, new_s: usize) -> Result<(), String> {
-        let fleet = self.sub_senders.len();
-        if new_s == 0 || new_s > fleet {
-            return Err(format!("new_s {new_s} outside provisioned fleet 1..={fleet}"));
-        }
-        let timeout = Duration::from_secs(30);
-        let generation = self.generation + 1;
-        // Phase 1: arm every balancer. Boundary 0 = the next owned tick.
-        let plan =
-            ReshardPlan { generation, new_s, boundary_epoch: 0, ttl: Duration::from_secs(30) };
-        for (i, tx) in self.lb_senders.iter().enumerate() {
-            let st = lb_rpc(tx, ReshardCmd::Plan(plan.clone()), timeout)?;
-            if st.phase != ReshardPhase::Armed {
-                self.abort_all(generation);
-                return Err(format!("balancer {i} refused the plan: {st:?}"));
-            }
-        }
-        // Drive the boundary tick ourselves unless a ticker already does.
-        if self.ticker.is_none() {
-            self.tick();
-        }
-        // Wait until every balancer reports Paused: after that, no batches
-        // are in flight anywhere (ticks resolve synchronously), so the
-        // subORAM partitions are quiescent.
-        let deadline = Instant::now() + timeout;
-        for (i, tx) in self.lb_senders.iter().enumerate() {
-            loop {
-                let st = match lb_rpc(tx, ReshardCmd::Status, timeout) {
-                    Ok(st) => st,
-                    Err(e) => {
-                        self.abort_all(generation);
-                        return Err(format!("balancer {i} unreachable at the boundary: {e}"));
-                    }
-                };
-                if st.phase == ReshardPhase::Paused {
-                    break;
-                }
-                if Instant::now() > deadline {
-                    self.abort_all(generation);
-                    return Err(format!("balancer {i} never paused: {st:?}"));
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        // Phase 2: export every partition and re-partition at new_s.
-        let mut union: Vec<StoredObject> = Vec::new();
-        for (i, tx) in self.sub_senders.iter().enumerate() {
-            match sub_rpc(tx, SubReshardCmd::Export, timeout) {
-                Ok(SubReshardReply::Objects(objs)) => union.extend(objs),
-                other => {
-                    self.abort_all(generation);
-                    return Err(format!("subORAM {i} export failed: {}", describe(other)));
-                }
-            }
-        }
-        let mut parts = partition_objects(union, &self.shared_key, new_s);
-        parts.resize_with(fleet, Vec::new);
-        for (i, (tx, part)) in self.sub_senders.iter().zip(parts).enumerate() {
-            let cmd = SubReshardCmd::Install { generation, new_s, objects: part };
-            match sub_rpc(tx, cmd, timeout) {
-                Ok(SubReshardReply::Status(st)) if st.phase == ReshardPhase::Armed => {}
-                other => {
-                    self.abort_all(generation);
-                    return Err(format!("subORAM {i} install failed: {}", describe(other)));
-                }
-            }
-        }
-        // Phase 3: commit subORAMs first (they hold the data), then flip
-        // the balancers. A failure after the first subORAM commit cannot be
-        // rolled back here — forward recovery is re-running the driver —
-        // so refuse to proceed only before that point.
-        for (i, tx) in self.sub_senders.iter().enumerate() {
-            match sub_rpc(tx, SubReshardCmd::Commit { generation }, timeout) {
-                Ok(SubReshardReply::Status(st)) if st.generation == generation => {}
-                other => {
-                    if i == 0 {
-                        // Nothing committed yet: clean abort.
-                        self.abort_all(generation);
-                        return Err(format!("subORAM {i} commit refused: {}", describe(other)));
-                    }
-                    return Err(format!(
-                        "subORAM {i} commit refused after {i} commits — re-run reshard({new_s}) \
-                         to roll forward: {}",
-                        describe(other)
-                    ));
-                }
-            }
-        }
-        for (i, tx) in self.lb_senders.iter().enumerate() {
-            let st = lb_rpc(tx, ReshardCmd::Commit { generation }, timeout)?;
-            if st.generation != generation {
-                return Err(format!("balancer {i} missed the flip: {st:?}"));
-            }
-        }
-        self.active_suborams = new_s;
-        self.generation = generation;
+        let job = ReshardJob {
+            balancers: self.lb_senders.len(),
+            suborams: self.sub_senders.len(),
+            num_objects: self.num_objects,
+            partition_key: self.shared_key.clone(),
+            new_s,
+            ttl: Duration::from_secs(30),
+        };
+        let report = run_reshard(&mut ChannelAdmin { cluster: self }, &job, &mut |_| {})?;
+        self.active_suborams = report.new_s;
+        self.generation = report.generation;
         Ok(())
-    }
-
-    /// Best-effort abort fan-out: drop staged subORAM state and release any
-    /// paused balancer back to the old layout. Errors are ignored — abort
-    /// must make progress even with half the cluster gone.
-    fn abort_all(&self, generation: u64) {
-        let timeout = Duration::from_secs(5);
-        for tx in &self.sub_senders {
-            let _ = sub_rpc(tx, SubReshardCmd::Abort { generation }, timeout);
-        }
-        for tx in &self.lb_senders {
-            let _ = lb_rpc(tx, ReshardCmd::Abort { generation }, timeout);
-        }
     }
 
     /// Manually closes the current epoch: all balancers batch what they
@@ -760,31 +583,34 @@ impl Drop for InProcessCluster {
     }
 }
 
-/// One blocking reshard RPC to a balancer thread.
-fn lb_rpc(tx: &Sender<LbMsg>, cmd: ReshardCmd, timeout: Duration) -> Result<ReshardStatus, String> {
-    let (rtx, rrx) = channel();
-    tx.send(LbMsg::Reshard { cmd, reply: rtx }).map_err(|_| "balancer gone".to_string())?;
-    rrx.recv_timeout(timeout).map_err(|e| format!("balancer reshard rpc: {e}"))
+/// The channel plane's [`ReshardAdmin`]: one mailbox message per command,
+/// answered on a fresh reply channel.
+struct ChannelAdmin<'a> {
+    cluster: &'a mut InProcessCluster,
 }
 
-/// One blocking reshard RPC to a subORAM thread.
-fn sub_rpc(
-    tx: &Sender<SubMsg>,
-    cmd: SubReshardCmd,
-    timeout: Duration,
-) -> Result<SubReshardReply, String> {
+/// Sends one command into a node's mailbox and waits for its reply; a reply
+/// that never arrives is indeterminate.
+fn channel_rpc<M, R>(tx: &Sender<M>, msg: impl FnOnce(Sender<R>) -> M) -> Result<R, RpcFailure> {
     let (rtx, rrx) = channel();
-    tx.send(SubMsg::Reshard { cmd, reply: rtx }).map_err(|_| "subORAM gone".to_string())?;
-    rrx.recv_timeout(timeout).map_err(|e| format!("subORAM reshard rpc: {e}"))
+    tx.send(msg(rtx)).map_err(|_| RpcFailure::Indeterminate("node gone".into()))?;
+    rrx.recv_timeout(RPC_TIMEOUT).map_err(|e| RpcFailure::Indeterminate(e.to_string()))
 }
 
-/// Renders an unexpected subORAM RPC outcome for error messages.
-fn describe(outcome: Result<SubReshardReply, String>) -> String {
-    match outcome {
-        Ok(SubReshardReply::Status(st)) => format!("unexpected status {st:?}"),
-        Ok(SubReshardReply::Objects(objs)) => format!("unexpected {}-object reply", objs.len()),
-        Ok(SubReshardReply::Failed(msg)) => msg,
-        Err(e) => e,
+impl ReshardAdmin for ChannelAdmin<'_> {
+    fn balancer(&mut self, i: usize, cmd: ReshardCmd) -> Result<ReshardStatus, RpcFailure> {
+        channel_rpc(&self.cluster.lb_senders[i], |reply| LbMsg::Reshard { cmd, reply })
+    }
+
+    fn suboram(&mut self, i: usize, cmd: SubReshardCmd) -> Result<SubReshardReply, RpcFailure> {
+        channel_rpc(&self.cluster.sub_senders[i], |reply| SubMsg::Reshard { cmd, reply })
+    }
+
+    fn at_boundary(&mut self) {
+        // Drive the boundary tick ourselves unless a ticker already does.
+        if self.cluster.ticker.is_none() {
+            self.cluster.tick();
+        }
     }
 }
 

@@ -37,6 +37,7 @@ pub mod deploy;
 pub mod history;
 pub mod link;
 pub mod planned;
+pub mod reshard;
 pub mod retry;
 pub mod stats;
 pub mod system;

@@ -43,6 +43,7 @@
 //! "epoch e failed after subORAM k missed its deadline" is wire-observable
 //! to the adversary already.
 
+use crate::reshard::{self, Stager, StagingHooks};
 use snoopy_enclave::wire::{Request, Response, StoredObject};
 use snoopy_lb::LoadBalancer;
 use snoopy_suboram::SubOram;
@@ -214,8 +215,7 @@ pub enum SubEvent {
         batch: Vec<Request>,
     },
     /// A reshard control command from the admin plane, answered on `reply`
-    /// (see [`SubReshardCmd`]; the staging state machine lives in the
-    /// daemon's handler, not in the epoch loop).
+    /// by the node's staging machine (see [`SubReshardCmd`]).
     Reshard {
         /// The command.
         cmd: SubReshardCmd,
@@ -382,9 +382,7 @@ pub enum ReshardCmd {
 }
 
 /// Hands a balancer loop the ability to rebuild its routing state at a new
-/// subORAM count when a reshard commits. Without it (the
-/// [`run_load_balancer_with_policy`] path) every [`ReshardCmd::Plan`] is
-/// refused and the loop behaves exactly as before.
+/// subORAM count when a reshard commits.
 pub struct ReshardControl {
     /// Builds a fresh [`LoadBalancer`] routing to `new_s` subORAMs. The
     /// balancer is stateless (§4.3), so a rebuild is cheap: same shared key,
@@ -399,17 +397,22 @@ pub struct ReshardControl {
 }
 
 /// Control commands the reshard driver sends a *subORAM* (surfaced as
-/// [`SubEvent::Reshard`]). The staged state machine lives in the daemon's
-/// handler (see [`run_suboram_with_admin`]), not in the epoch loop: `Install`
-/// stages a new partition next to the live one, `Commit` swaps it in and
-/// re-checkpoints, `Abort` drops it. A crash between a subORAM's commit and
-/// the balancers' flip recovers by re-running the driver — the checkpoint's
-/// generation stamp says which side of the boundary the node is on.
+/// [`SubEvent::Reshard`]). The staging machine ([`crate::reshard::Stager`])
+/// answers them beside the epoch loop: `Install` stages a new partition next
+/// to the live one, `Commit` swaps it in and persists it, `Abort` drops it.
+/// A crash between a subORAM's commit and the balancers' flip recovers by
+/// re-running the driver — the checkpoint's generation stamp says which side
+/// of the boundary the node is on.
 pub enum SubReshardCmd {
     /// Report status without changing anything.
     Status,
     /// Export the node's full object set for re-partitioning.
-    Export,
+    Export {
+        /// Generation the export feeds (the TCP plane keys its sealing on it).
+        generation: u64,
+        /// SubORAM count of that generation's layout.
+        new_s: usize,
+    },
     /// Stage the node's partition under the next generation's layout.
     Install {
         /// Generation being staged.
@@ -451,26 +454,25 @@ fn phase_of(plan: &Option<ReshardPlan>) -> ReshardPhase {
     }
 }
 
-/// Handles a reshard command in any non-paused context: `Plan` arms (when a
-/// [`ReshardControl`] exists and the generation advances), `Abort` disarms,
-/// everything else — including a `Commit` outside the pause window, which
-/// the driver must treat as a failed flip — just reports status.
+/// Handles a reshard command in any non-paused context: `Plan` arms (when
+/// the generation advances), `Abort` disarms, everything else — including a
+/// `Commit` outside the pause window, which the driver must treat as a
+/// failed flip — just reports status.
 fn arm_or_report(
     cmd: ReshardCmd,
     reply: &std::sync::mpsc::Sender<ReshardStatus>,
     plan: &mut Option<ReshardPlan>,
     generation: u64,
     active_s: usize,
-    reshardable: bool,
 ) {
     match cmd {
-        ReshardCmd::Plan(p) if reshardable && p.generation > generation && p.new_s > 0 => {
+        ReshardCmd::Plan(p) if p.generation > generation && p.new_s > 0 => {
             *plan = Some(p);
             let _ = reply.send(ReshardStatus { generation, active_s, phase: ReshardPhase::Armed });
         }
         ReshardCmd::Abort { generation: g } => {
-            if plan.as_ref().is_some_and(|p| p.generation == g) {
-                *plan = None;
+            if plan.take_if(|p| p.generation == g).is_some() {
+                reshard::record_abort(g);
             }
             let _ = reply.send(ReshardStatus { generation, active_s, phase: phase_of(plan) });
         }
@@ -478,22 +480,6 @@ fn arm_or_report(
             let _ = reply.send(ReshardStatus { generation, active_s, phase: phase_of(plan) });
         }
     }
-}
-
-/// Drives one load balancer until shutdown, waiting indefinitely for
-/// subORAM responses (the seed behavior — see
-/// [`run_load_balancer_with_policy`] for deadline-driven recovery).
-pub fn run_load_balancer<T: LbTransport>(
-    transport: &mut T,
-    balancer: LoadBalancer,
-    num_suborams: usize,
-) {
-    run_load_balancer_with_policy(
-        transport,
-        balancer,
-        num_suborams,
-        EpochFaultPolicy::wait_forever(),
-    )
 }
 
 /// Drives one load balancer until shutdown.
@@ -507,17 +493,6 @@ pub fn run_load_balancer<T: LbTransport>(
 /// after each deadline miss, and after `max_replays` misses completes the
 /// epoch in degraded mode: every request in it fails with [`Unavailable`]
 /// (see the module docs for why the failure is wholesale).
-pub fn run_load_balancer_with_policy<T: LbTransport>(
-    transport: &mut T,
-    balancer: LoadBalancer,
-    num_suborams: usize,
-    policy: EpochFaultPolicy,
-) {
-    run_load_balancer_with_reshard(transport, balancer, num_suborams, policy, None)
-}
-
-/// Drives one load balancer until shutdown, with epoch-boundary resharding
-/// enabled when `control` is `Some`.
 ///
 /// The reshard protocol, from this loop's side: a [`ReshardCmd::Plan`] arms
 /// a [`ReshardPlan`]; at the first owned tick with id `>= boundary_epoch`
@@ -531,21 +506,20 @@ pub fn run_load_balancer_with_policy<T: LbTransport>(
 /// died mid-migration — resumes the old layout. Either way the held tick
 /// then executes, so buffered clients commit in exactly one of the two
 /// layouts and an acknowledged write is never lost to the flip.
-pub fn run_load_balancer_with_reshard<T: LbTransport>(
+pub fn run_load_balancer<T: LbTransport>(
     transport: &mut T,
     balancer: LoadBalancer,
-    num_suborams: usize,
     policy: EpochFaultPolicy,
-    control: Option<ReshardControl>,
+    control: ReshardControl,
 ) {
     let mut balancer = balancer;
-    let mut num_suborams = num_suborams;
+    let mut num_suborams = balancer.num_suborams();
     let mut pending: Vec<(Request, Box<dyn ReplySink>)> = Vec::new();
     let mut deferred_ticks: VecDeque<u64> = VecDeque::new();
     // Reshard protocol state: the armed plan (if any) and the generation of
     // the layout currently being served (0 until a reshard ever commits).
     let mut plan: Option<ReshardPlan> = None;
-    let mut generation: u64 = control.as_ref().map_or(0, |c| c.initial_generation);
+    let mut generation: u64 = control.initial_generation;
     'outer: loop {
         let ev = match deferred_ticks.pop_front() {
             Some(epoch) => LbEvent::Tick(epoch),
@@ -568,12 +542,12 @@ pub fn run_load_balancer_with_reshard<T: LbTransport>(
             | LbEvent::SubLinkRestored { .. }
             | LbEvent::SubFailed { .. } => {}
             LbEvent::Reshard { cmd, reply } => {
-                arm_or_report(cmd, &reply, &mut plan, generation, num_suborams, control.is_some());
+                arm_or_report(cmd, &reply, &mut plan, generation, num_suborams);
             }
             LbEvent::Tick(epoch) => {
                 let mut epoch = epoch;
                 let at_boundary = plan.as_ref().is_some_and(|p| epoch >= p.boundary_epoch);
-                if let Some(ctl) = control.as_ref().filter(|_| at_boundary) {
+                if at_boundary {
                     // Paused at the reshard boundary: hold the tick, keep
                     // buffering clients, and wait for the driver's verdict.
                     let ttl = plan.as_ref().map(|p| p.ttl).expect("plan checked above");
@@ -586,7 +560,9 @@ pub fn run_load_balancer_with_reshard<T: LbTransport>(
                                 // The driver died mid-migration: self-abort
                                 // back to the old layout rather than holding
                                 // buffered clients hostage forever.
-                                plan = None;
+                                if let Some(p) = plan.take() {
+                                    reshard::record_abort(p.generation);
+                                }
                                 resolved = true;
                             }
                             RecvOutcome::Event(LbEvent::Shutdown) => break 'outer,
@@ -606,9 +582,10 @@ pub fn run_load_balancer_with_reshard<T: LbTransport>(
                                     if plan.as_ref().is_some_and(|p| p.generation == g) =>
                                 {
                                     let p = plan.take().expect("plan checked above");
-                                    balancer = (ctl.rebuild)(p.new_s);
+                                    balancer = (control.rebuild)(p.new_s);
                                     num_suborams = p.new_s;
                                     generation = p.generation;
+                                    reshard::record_flip(generation, num_suborams);
                                     let _ = reply.send(ReshardStatus {
                                         generation,
                                         active_s: num_suborams,
@@ -620,6 +597,7 @@ pub fn run_load_balancer_with_reshard<T: LbTransport>(
                                     if plan.as_ref().is_some_and(|p| p.generation == g) =>
                                 {
                                     plan = None;
+                                    reshard::record_abort(g);
                                     let _ = reply.send(ReshardStatus {
                                         generation,
                                         active_s: num_suborams,
@@ -688,14 +666,7 @@ pub fn run_load_balancer_with_reshard<T: LbTransport>(
                         RecvOutcome::Event(LbEvent::Reshard { cmd, reply }) => {
                             // Mid-epoch commands can only arm or report: the
                             // boundary check happens at the next tick.
-                            arm_or_report(
-                                cmd,
-                                &reply,
-                                &mut plan,
-                                generation,
-                                num_suborams,
-                                control.is_some(),
-                            );
+                            arm_or_report(cmd, &reply, &mut plan, generation, num_suborams);
                         }
                         RecvOutcome::Event(LbEvent::SubResponse { suboram, epoch: e, batch })
                             if e == epoch =>
@@ -1229,41 +1200,21 @@ impl SubOramNode {
 /// epoch (no responses escaped) or replays cached responses (state already
 /// persisted). The hook gets mutable access so it can drive
 /// [`SubOram::commit_storage`].
-pub fn run_suboram<T: SubTransport>(
-    transport: &mut T,
-    node: &mut SubOramNode,
-    after_epoch: impl FnMut(&mut SubOramNode, u64),
-) {
-    // Without a reshard handler, `Status` still answers truthfully (it is
-    // read-only) and every state-changing command is refused — a plane that
-    // never staged anything must never commit anything.
-    run_suboram_with_admin(transport, node, after_epoch, |node, cmd| match cmd {
-        SubReshardCmd::Status => SubReshardReply::Status(ReshardStatus {
-            generation: node.generation(),
-            active_s: node.active_s(),
-            phase: ReshardPhase::Idle,
-        }),
-        _ => SubReshardReply::Failed("resharding not enabled on this node".into()),
-    })
-}
-
-/// Drives one subORAM until shutdown, routing reshard control commands to
-/// `on_reshard` — the daemon-supplied staging state machine (stage a
-/// partition on `Install`, swap + re-checkpoint on `Commit`, drop staged
-/// state on `Abort`). Keeping that machine *outside* the epoch loop means
-/// the loop itself never holds half-migrated state: between two calls the
-/// node is always fully in one layout.
-pub fn run_suboram_with_admin<T: SubTransport>(
+///
+/// Reshard commands go to `stager`. It runs between epochs, so the loop
+/// never holds half-migrated state: between two events the node is fully in
+/// one layout.
+pub fn run_suboram<T: SubTransport, H: StagingHooks>(
     transport: &mut T,
     node: &mut SubOramNode,
     mut after_epoch: impl FnMut(&mut SubOramNode, u64),
-    mut on_reshard: impl FnMut(&mut SubOramNode, SubReshardCmd) -> SubReshardReply,
+    stager: &mut Stager<H>,
 ) {
     while let Some(ev) = transport.recv() {
         match ev {
             SubEvent::Shutdown => break,
             SubEvent::Reshard { cmd, reply } => {
-                let _ = reply.send(on_reshard(node, cmd));
+                let _ = reply.send(stager.handle(node, cmd));
             }
             SubEvent::Batch { lb, epoch, generation, batch } => match node
                 .handle_stamped_batch(lb, epoch, generation, batch)
@@ -1506,6 +1457,13 @@ mod tests {
         }
     }
 
+    fn control(key: snoopy_crypto::Key256) -> ReshardControl {
+        ReshardControl {
+            rebuild: Box::new(move |s| LoadBalancer::new(&key, s, 8, 128)),
+            initial_generation: 0,
+        }
+    }
+
     #[test]
     fn deadline_degrades_instead_of_hanging_on_silent_transport() {
         use snoopy_crypto::Key256;
@@ -1517,12 +1475,12 @@ mod tests {
             ]),
             batches_sent: 0,
         };
-        let balancer = LoadBalancer::new(&Key256([1u8; 32]), 1, 8, 128);
-        run_load_balancer_with_policy(
+        let key = Key256([1u8; 32]);
+        run_load_balancer(
             &mut transport,
-            balancer,
-            1,
+            LoadBalancer::new(&key, 1, 8, 128),
             EpochFaultPolicy::with_deadline(Duration::from_millis(5), 1),
+            control(key),
         );
         let reply = rx.try_recv().expect("the epoch must resolve, not hang");
         assert_eq!(reply, Err(Unavailable { epoch: 7, failed_suborams: vec![0] }));
@@ -1542,12 +1500,12 @@ mod tests {
             ]),
             batches_sent: 0,
         };
-        let balancer = LoadBalancer::new(&Key256([1u8; 32]), 2, 8, 128);
-        run_load_balancer_with_policy(
+        let key = Key256([1u8; 32]);
+        run_load_balancer(
             &mut transport,
-            balancer,
-            2,
+            LoadBalancer::new(&key, 2, 8, 128),
             EpochFaultPolicy::wait_forever(),
+            control(key),
         );
         let reply = rx.try_recv().expect("the epoch must resolve");
         // The refusing subORAM is named precisely — not every sub still owed.
@@ -1601,6 +1559,9 @@ mod tests {
     #[test]
     fn reshard_commit_at_boundary_flips_routing_to_new_s() {
         use snoopy_crypto::Key256;
+        // A generation no other test uses, so the event count below is
+        // this balancer's alone.
+        const GEN: u64 = 0x5EED_0001;
         let key = Key256([1u8; 32]);
         let (tx, rx) = std::sync::mpsc::channel();
         let (plan_tx, plan_rx) = std::sync::mpsc::channel();
@@ -1610,7 +1571,7 @@ mod tests {
                 LbEvent::Client(Request::read(1, 8, 0, 0), Box::new(tx)),
                 LbEvent::Reshard {
                     cmd: ReshardCmd::Plan(ReshardPlan {
-                        generation: 1,
+                        generation: GEN,
                         new_s: 2,
                         boundary_epoch: 0,
                         ttl: Duration::from_secs(5),
@@ -1618,20 +1579,15 @@ mod tests {
                     reply: plan_tx,
                 },
                 LbEvent::Tick(0),
-                LbEvent::Reshard { cmd: ReshardCmd::Commit { generation: 1 }, reply: commit_tx },
+                LbEvent::Reshard { cmd: ReshardCmd::Commit { generation: GEN }, reply: commit_tx },
             ]),
             batches_sent: 0,
         };
-        let balancer = LoadBalancer::new(&key, 1, 8, 128);
-        run_load_balancer_with_reshard(
+        run_load_balancer(
             &mut transport,
-            balancer,
-            1,
+            LoadBalancer::new(&key, 1, 8, 128),
             EpochFaultPolicy::with_deadline(Duration::from_millis(5), 0),
-            Some(ReshardControl {
-                rebuild: Box::new(move |s| LoadBalancer::new(&key, s, 8, 128)),
-                initial_generation: 0,
-            }),
+            control(key),
         );
         assert_eq!(
             plan_rx.try_recv().expect("plan must be acknowledged"),
@@ -1639,7 +1595,7 @@ mod tests {
         );
         assert_eq!(
             commit_rx.try_recv().expect("commit must be acknowledged"),
-            ReshardStatus { generation: 1, active_s: 2, phase: ReshardPhase::Idle }
+            ReshardStatus { generation: GEN, active_s: 2, phase: ReshardPhase::Idle }
         );
         // The held tick executed at the NEW layout: one batch per new
         // subORAM went out, and with no subORAM answering, the buffered
@@ -1647,11 +1603,13 @@ mod tests {
         assert_eq!(transport.batches_sent, 2, "post-commit epoch routes to new_s subORAMs");
         let reply = rx.try_recv().expect("the held epoch must resolve");
         assert_eq!(reply, Err(Unavailable { epoch: 0, failed_suborams: vec![0, 1] }));
+        assert_eq!(reshard_events(EventKind::ReshardCommit, GEN), 1, "one commit event per flip");
     }
 
     #[test]
     fn reshard_pause_self_aborts_when_driver_dies() {
         use snoopy_crypto::Key256;
+        const GEN: u64 = 0x5EED_0002;
         let key = Key256([1u8; 32]);
         let (tx, rx) = std::sync::mpsc::channel();
         let (plan_tx, _plan_rx) = std::sync::mpsc::channel();
@@ -1660,7 +1618,7 @@ mod tests {
                 LbEvent::Client(Request::read(1, 8, 0, 0), Box::new(tx)),
                 LbEvent::Reshard {
                     cmd: ReshardCmd::Plan(ReshardPlan {
-                        generation: 1,
+                        generation: GEN,
                         new_s: 2,
                         boundary_epoch: 0,
                         ttl: Duration::from_millis(5),
@@ -1672,16 +1630,11 @@ mod tests {
             ]),
             batches_sent: 0,
         };
-        let balancer = LoadBalancer::new(&key, 1, 8, 128);
-        run_load_balancer_with_reshard(
+        run_load_balancer(
             &mut transport,
-            balancer,
-            1,
+            LoadBalancer::new(&key, 1, 8, 128),
             EpochFaultPolicy::with_deadline(Duration::from_millis(5), 0),
-            Some(ReshardControl {
-                rebuild: Box::new(move |s| LoadBalancer::new(&key, s, 8, 128)),
-                initial_generation: 0,
-            }),
+            control(key),
         );
         // The TTL expired, the plan self-aborted, and the held tick executed
         // at the OLD layout (one subORAM): buffered clients resolve rather
@@ -1689,6 +1642,15 @@ mod tests {
         assert_eq!(transport.batches_sent, 1, "self-abort resumes the old layout");
         let reply = rx.try_recv().expect("the held epoch must resolve");
         assert_eq!(reply, Err(Unavailable { epoch: 0, failed_suborams: vec![0] }));
+        assert_eq!(reshard_events(EventKind::ReshardAbort, GEN), 1, "one abort event per drop");
+    }
+
+    fn reshard_events(kind: EventKind, generation: u64) -> usize {
+        let records = events::recorder().snapshot();
+        records
+            .iter()
+            .filter(|r| r.kind == kind && r.field("generation") == Some(generation))
+            .count()
     }
 
     #[test]

@@ -35,8 +35,7 @@ use crate::stats::{DaemonInfo, LinkStats, StatsRegistry};
 use crate::suboram_daemon::{net_workers, record_peer_clock_offset, AdminHandler};
 use snoopy_core::link::Link;
 use snoopy_core::transport::{
-    run_load_balancer_with_reshard, LbEvent, LbTransport, RecvOutcome, ReplySink, ReshardControl,
-    Unavailable,
+    run_load_balancer, LbEvent, LbTransport, RecvOutcome, ReplySink, ReshardControl, Unavailable,
 };
 use snoopy_core::RetryPolicy;
 use snoopy_crypto::{Key256, Prg};
@@ -319,13 +318,7 @@ pub fn run(manifest: &Manifest, index: usize, registry: &StatsRegistry) -> io::R
         },
         initial_generation,
     };
-    run_load_balancer_with_reshard(
-        &mut transport,
-        balancer,
-        num_suborams,
-        manifest.fault_policy(),
-        Some(control),
-    );
+    run_load_balancer(&mut transport, balancer, manifest.fault_policy(), control);
     events::record(Event::new(EventKind::Shutdown));
     events::recorder().dump("shutdown");
     Ok(())
