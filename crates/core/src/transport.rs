@@ -1216,73 +1216,73 @@ pub fn run_suboram<T: SubTransport, H: StagingHooks>(
             SubEvent::Reshard { cmd, reply } => {
                 let _ = reply.send(stager.handle(node, cmd));
             }
-            SubEvent::Batch { lb, epoch, generation, batch } => match node
-                .handle_stamped_batch(lb, epoch, generation, batch)
-            {
-                BatchOutcome::Replayed { lb, batch } => match batch {
-                    Some(batch) => transport.send_response(lb, epoch, &batch),
-                    None => transport.send_error(lb, epoch),
-                },
-                BatchOutcome::Evicted { lb, epoch } => {
-                    // Refused: the epoch executed long ago and its cached
-                    // responses are gone. Answering nothing lets the
-                    // balancer's deadline degrade the epoch; re-executing
-                    // would silently corrupt write semantics.
-                    metrics::global()
+            SubEvent::Batch { lb, epoch, generation, batch } => {
+                match node.handle_stamped_batch(lb, epoch, generation, batch) {
+                    BatchOutcome::Replayed { lb, batch } => match batch {
+                        Some(batch) => transport.send_response(lb, epoch, &batch),
+                        None => transport.send_error(lb, epoch),
+                    },
+                    BatchOutcome::Evicted { lb, epoch } => {
+                        // Refused: the epoch executed long ago and its cached
+                        // responses are gone. Answering nothing lets the
+                        // balancer's deadline degrade the epoch; re-executing
+                        // would silently corrupt write semantics.
+                        metrics::global()
                         .counter(
                             metrics::names::EVICTED_REPLAYS_TOTAL,
                             "replayed batches refused because the epoch was evicted from the reply cache",
                         )
                         .inc(Public::wire_observable(()));
-                    events::record(
-                        Event::new(EventKind::ReplayEvicted)
-                            .with("epoch", Public::wire_observable(epoch))
-                            .with("lb", Public::wire_observable(lb as u64)),
-                    );
-                }
-                BatchOutcome::Rejected { lb, epoch } => {
-                    // The epoch id names another balancer as owner: a typed
-                    // NACK so the sender's epoch degrades immediately. Both
-                    // fields are wire-observable (they arrived plaintext in
-                    // the batch trace context).
-                    metrics::global()
-                        .counter(
-                            metrics::names::SUB_BATCH_FAILURES_TOTAL,
-                            "subORAM batches refused with a typed error",
-                        )
-                        .inc(Public::wire_observable(()));
-                    transport.send_error(lb, epoch);
-                }
-                BatchOutcome::StaleLayout { lb, epoch, batch_generation } => {
-                    // The balancer routed this batch under a layout other
-                    // than the one this node serves (a mixed-layout window
-                    // around a crashed reshard). Executing it would return
-                    // silently wrong answers; a typed NACK degrades the
-                    // balancer's epoch visibly instead, and the operator
-                    // repairs by re-running the reshard driver.
-                    metrics::global()
-                        .counter(
-                            metrics::names::STALE_LAYOUT_BATCHES_TOTAL,
-                            "batches refused because their layout generation stamp mismatched",
-                        )
-                        .inc(Public::wire_observable(()));
-                    events::record(
-                        Event::new(EventKind::StaleLayoutBatch)
-                            .with("epoch", Public::wire_observable(epoch))
-                            .with("lb", Public::wire_observable(lb as u64))
-                            .with("generation", Public::config(batch_generation)),
-                    );
-                    transport.send_error(lb, epoch);
-                }
-                BatchOutcome::Completed(resp) => {
-                    after_epoch(node, epoch);
-                    let owner = (epoch % node.num_lbs() as u64) as usize;
-                    match resp {
-                        Some(resp) => transport.send_response(owner, epoch, &resp),
-                        None => transport.send_error(owner, epoch),
+                        events::record(
+                            Event::new(EventKind::ReplayEvicted)
+                                .with("epoch", Public::wire_observable(epoch))
+                                .with("lb", Public::wire_observable(lb as u64)),
+                        );
+                    }
+                    BatchOutcome::Rejected { lb, epoch } => {
+                        // The epoch id names another balancer as owner: a typed
+                        // NACK so the sender's epoch degrades immediately. Both
+                        // fields are wire-observable (they arrived plaintext in
+                        // the batch trace context).
+                        metrics::global()
+                            .counter(
+                                metrics::names::SUB_BATCH_FAILURES_TOTAL,
+                                "subORAM batches refused with a typed error",
+                            )
+                            .inc(Public::wire_observable(()));
+                        transport.send_error(lb, epoch);
+                    }
+                    BatchOutcome::StaleLayout { lb, epoch, batch_generation } => {
+                        // The balancer routed this batch under a layout other
+                        // than the one this node serves (a mixed-layout window
+                        // around a crashed reshard). Executing it would return
+                        // silently wrong answers; a typed NACK degrades the
+                        // balancer's epoch visibly instead, and the operator
+                        // repairs by re-running the reshard driver.
+                        metrics::global()
+                            .counter(
+                                metrics::names::STALE_LAYOUT_BATCHES_TOTAL,
+                                "batches refused because their layout generation stamp mismatched",
+                            )
+                            .inc(Public::wire_observable(()));
+                        events::record(
+                            Event::new(EventKind::StaleLayoutBatch)
+                                .with("epoch", Public::wire_observable(epoch))
+                                .with("lb", Public::wire_observable(lb as u64))
+                                .with("generation", Public::config(batch_generation)),
+                        );
+                        transport.send_error(lb, epoch);
+                    }
+                    BatchOutcome::Completed(resp) => {
+                        after_epoch(node, epoch);
+                        let owner = (epoch % node.num_lbs() as u64) as usize;
+                        match resp {
+                            Some(resp) => transport.send_response(owner, epoch, &resp),
+                            None => transport.send_error(owner, epoch),
+                        }
                     }
                 }
-            },
+            }
         }
     }
 }
@@ -1452,7 +1452,13 @@ mod tests {
             }
         }
 
-        fn send_batch(&mut self, _suboram: usize, _epoch: u64, _generation: u64, _batch: &[Request]) {
+        fn send_batch(
+            &mut self,
+            _suboram: usize,
+            _epoch: u64,
+            _generation: u64,
+            _batch: &[Request],
+        ) {
             self.batches_sent += 1;
         }
     }

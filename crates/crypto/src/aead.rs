@@ -6,7 +6,7 @@
 //! primitive, plus [`SealedBox`], the framing used by the deployment layers.
 
 use crate::chacha20;
-use crate::poly1305::{poly1305, tags_equal};
+use crate::poly1305::{tags_equal, Poly1305};
 use crate::Key256;
 
 /// A 96-bit AEAD nonce. Deployments derive it from `(sender id, sequence
@@ -65,6 +65,9 @@ impl std::fmt::Debug for AeadKey {
     }
 }
 
+/// Length of a Poly1305 tag.
+pub const TAG_LEN: usize = 16;
+
 /// A sealed (encrypted + authenticated) message: ciphertext || 16-byte tag.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SealedBox {
@@ -79,46 +82,63 @@ impl AeadKey {
     }
 
     /// Encrypts and authenticates `plaintext` with `aad` as associated data.
+    /// A thin wrapper over [`AeadKey::seal_in_place`].
     pub fn seal(&self, nonce: Nonce, aad: &[u8], plaintext: &[u8]) -> SealedBox {
-        let mut ct = plaintext.to_vec();
-        chacha20::xor_stream(&self.0 .0, 1, &nonce.0, &mut ct);
-        let tag = self.compute_tag(nonce, aad, &ct);
-        ct.extend_from_slice(&tag);
-        SealedBox { bytes: ct }
+        let mut bytes = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        bytes.extend_from_slice(plaintext);
+        let tag = self.seal_in_place(nonce, aad, &mut bytes);
+        bytes.extend_from_slice(&tag);
+        SealedBox { bytes }
     }
 
-    /// Verifies and decrypts a sealed box; returns the plaintext.
+    /// Verifies and decrypts a sealed box; returns the plaintext. A thin
+    /// wrapper over [`AeadKey::open_in_place`].
     pub fn open(&self, nonce: Nonce, aad: &[u8], sealed: &SealedBox) -> Result<Vec<u8>, AeadError> {
-        if sealed.bytes.len() < 16 {
+        if sealed.bytes.len() < TAG_LEN {
             return Err(AeadError::Truncated);
         }
-        let (ct, tag_bytes) = sealed.bytes.split_at(sealed.bytes.len() - 16);
-        let expected = self.compute_tag(nonce, aad, ct);
-        let mut tag = [0u8; 16];
-        tag.copy_from_slice(tag_bytes);
-        if !tags_equal(&expected, &tag) {
-            return Err(AeadError::TagMismatch);
-        }
+        let (ct, tag) = sealed.bytes.split_at(sealed.bytes.len() - TAG_LEN);
         let mut pt = ct.to_vec();
-        chacha20::xor_stream(&self.0 .0, 1, &nonce.0, &mut pt);
+        self.open_in_place(nonce, aad, &mut pt, tag.try_into().unwrap())?;
         Ok(pt)
     }
 
-    /// RFC 8439 §2.8: Poly1305 over pad16(aad) || pad16(ct) || len(aad) || len(ct),
-    /// keyed by the first 32 bytes of keystream block 0.
-    fn compute_tag(&self, nonce: Nonce, aad: &[u8], ct: &[u8]) -> [u8; 16] {
-        let block0 = chacha20::block(&self.0 .0, 0, &nonce.0);
-        let mut otk = [0u8; 32];
-        otk.copy_from_slice(&block0[..32]);
+    /// Encrypts `data` in place and returns its detached 16-byte tag. The
+    /// ciphertext and tag are byte-identical to [`AeadKey::seal`]'s.
+    pub fn seal_in_place(&self, nonce: Nonce, aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN] {
+        chacha20::xor_stream(&self.0 .0, 1, &nonce.0, data);
+        self.compute_tag(nonce, aad, data)
+    }
 
-        let mut mac_data = Vec::with_capacity(aad.len() + ct.len() + 32);
-        mac_data.extend_from_slice(aad);
-        mac_data.resize(mac_data.len().next_multiple_of(16), 0);
-        mac_data.extend_from_slice(ct);
-        mac_data.resize(mac_data.len().next_multiple_of(16), 0);
-        mac_data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
-        mac_data.extend_from_slice(&(ct.len() as u64).to_le_bytes());
-        poly1305(&otk, &mac_data)
+    /// Verifies `tag` over the ciphertext `data`, then decrypts it in place.
+    /// On failure `data` is left untouched (still ciphertext).
+    pub fn open_in_place(
+        &self,
+        nonce: Nonce,
+        aad: &[u8],
+        data: &mut [u8],
+        tag: &[u8; TAG_LEN],
+    ) -> Result<(), AeadError> {
+        if !tags_equal(&self.compute_tag(nonce, aad, data), tag) {
+            return Err(AeadError::TagMismatch);
+        }
+        chacha20::xor_stream(&self.0 .0, 1, &nonce.0, data);
+        Ok(())
+    }
+
+    /// RFC 8439 §2.8: Poly1305 over pad16(aad) || pad16(ct) || len(aad) || len(ct),
+    /// keyed by the first 32 bytes of keystream block 0. Streams over the
+    /// caller's buffers; nothing is concatenated.
+    fn compute_tag(&self, nonce: Nonce, aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
+        let block0 = chacha20::block(&self.0 .0, 0, &nonce.0);
+        let mut mac = Poly1305::new(block0[..32].try_into().unwrap());
+        mac.update_padded(aad);
+        mac.update_padded(ct);
+        let mut lens = [0u8; 16];
+        lens[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
+        lens[8..].copy_from_slice(&(ct.len() as u64).to_le_bytes());
+        mac.update_padded(&lens);
+        mac.finish()
     }
 }
 
@@ -155,6 +175,110 @@ mod tests {
 
         let opened = aead.open(Nonce(nonce), &aad, &sealed).unwrap();
         assert_eq!(&opened, plaintext);
+    }
+
+    /// The RFC 8439 §2.8.2 vector through the in-place API.
+    #[test]
+    fn rfc8439_aead_vector_in_place() {
+        let key: [u8; 32] =
+            hex("808182838485868788898a8b8c8d8e8f 909192939495969798999a9b9c9d9e9f")
+                .try_into()
+                .unwrap();
+        let aead = AeadKey::new(Key256(key));
+        let nonce = Nonce(hex("070000004041424344454647").try_into().unwrap());
+        let aad = hex("50515253c0c1c2c3c4c5c6c7");
+        let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.";
+
+        let mut data = plaintext.to_vec();
+        let tag = aead.seal_in_place(nonce, &aad, &mut data);
+        let expected_ct = hex("d31a8d34648e60db7b86afbc53ef7ec2 a4aded51296e08fea9e2b5a736ee62d6 \
+             3dbea45e8ca9671282fafb69da92728b 1a71de0a9e060b2905d6a5b67ecd3b36 \
+             92ddbd7f2d778b8c9803aee328091b58 fab324e4fad675945585808b4831d7bc \
+             3ff4def08e4b7a9de576d26586cec64b 6116");
+        assert_eq!(data, expected_ct);
+        assert_eq!(tag.to_vec(), hex("1ae10b594f09e26a7e902ecbd0600691"));
+
+        aead.open_in_place(nonce, &aad, &mut data, &tag).unwrap();
+        assert_eq!(&data[..], &plaintext[..]);
+    }
+
+    /// The one-shot RFC 8439 §2.8 construction: Poly1305 over the explicitly
+    /// concatenated `aad‖pad‖ct‖pad‖lens`. The streaming tag must match it.
+    fn reference_seal(key: &[u8; 32], nonce: Nonce, aad: &[u8], pt: &[u8]) -> Vec<u8> {
+        let mut ct = pt.to_vec();
+        chacha20::xor_stream(key, 1, &nonce.0, &mut ct);
+        let block0 = chacha20::block(key, 0, &nonce.0);
+        let mut mac_data = aad.to_vec();
+        mac_data.resize(mac_data.len().next_multiple_of(16), 0);
+        mac_data.extend_from_slice(&ct);
+        mac_data.resize(mac_data.len().next_multiple_of(16), 0);
+        mac_data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
+        mac_data.extend_from_slice(&(ct.len() as u64).to_le_bytes());
+        let tag = crate::poly1305::poly1305(block0[..32].try_into().unwrap(), &mac_data);
+        ct.extend_from_slice(&tag);
+        ct
+    }
+
+    #[test]
+    fn in_place_matches_seal_and_open_for_every_length() {
+        let key = [0x5Au8; 32];
+        let aead = AeadKey::new(Key256(key));
+        let src: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        let aad_src: Vec<u8> = (0..40u32).map(|i| (i * 13 + 1) as u8).collect();
+        for pt_len in 0..=300usize {
+            for aad_len in 0..=40usize {
+                let nonce = Nonce::from_parts(pt_len as u32, aad_len as u64);
+                let (pt, aad) = (&src[..pt_len], &aad_src[..aad_len]);
+                let sealed = aead.seal(nonce, aad, pt);
+                assert_eq!(
+                    sealed.bytes,
+                    reference_seal(&key, nonce, aad, pt),
+                    "{pt_len}/{aad_len}"
+                );
+
+                let mut data = pt.to_vec();
+                let tag = aead.seal_in_place(nonce, aad, &mut data);
+                assert_eq!(&sealed.bytes[..pt_len], &data[..], "ct {pt_len}/{aad_len}");
+                assert_eq!(&sealed.bytes[pt_len..], &tag[..], "tag {pt_len}/{aad_len}");
+
+                aead.open_in_place(nonce, aad, &mut data, &tag).unwrap();
+                assert_eq!(data, pt);
+                assert_eq!(aead.open(nonce, aad, &sealed).unwrap(), pt);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_open_rejects_tampering_wrong_nonce_and_wrong_aad() {
+        let aead = AeadKey::new(Key256([9u8; 32]));
+        let nonce = Nonce::from_parts(4, 77);
+        for len in [0usize, 1, 15, 16, 17, 63, 64, 65, 200] {
+            let pt: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut ct = pt.clone();
+            let tag = aead.seal_in_place(nonce, b"aad", &mut ct);
+            let reject = |nonce: Nonce, aad: &[u8], data: &[u8], tag: &[u8; TAG_LEN]| {
+                let mut buf = data.to_vec();
+                assert_eq!(
+                    aead.open_in_place(nonce, aad, &mut buf, tag),
+                    Err(AeadError::TagMismatch)
+                );
+                assert_eq!(buf, data, "a refused open leaves the ciphertext untouched");
+            };
+            if len > 0 {
+                let mut flipped = ct.clone();
+                flipped[len / 2] ^= 0x80;
+                reject(nonce, b"aad", &flipped, &tag);
+            }
+            let mut bad_tag = tag;
+            bad_tag[15] ^= 1;
+            reject(nonce, b"aad", &ct, &bad_tag);
+            reject(Nonce::from_parts(4, 78), b"aad", &ct, &tag);
+            reject(nonce, b"aae", &ct, &tag);
+            reject(nonce, b"", &ct, &tag);
+            let mut ok = ct.clone();
+            aead.open_in_place(nonce, b"aad", &mut ok, &tag).unwrap();
+            assert_eq!(ok, pt);
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!    buckets, where the adversary must not predict placements without the key
 //!    (§4.1, §5) — provided by SipHash-2-4 ([`siphash`]), a keyed PRF.
 //! 3. **Digests for integrity** of data stored outside the enclave (§2, §7) —
-//!    provided by SHA-256 ([`sha256`]) and HMAC-SHA-256 ([`hmac`]).
+//!    each sealed block's AEAD tag serves as its digest, and HMAC-SHA-256
+//!    ([`hmac`], over [`sha256`]) authenticates whole segments and derives
+//!    keys.
 //!
 //! Everything is implemented in-tree (no external crypto crates are available in
 //! this environment) and validated against published test vectors in the unit

@@ -6,169 +6,183 @@
 
 /// Computes the 16-byte Poly1305 tag of `msg` under the 32-byte one-time key.
 pub fn poly1305(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
-    // r is clamped per the RFC.
-    let mut r = [0u8; 16];
-    r.copy_from_slice(&key[..16]);
-    r[3] &= 15;
-    r[7] &= 15;
-    r[11] &= 15;
-    r[15] &= 15;
-    r[4] &= 252;
-    r[8] &= 252;
-    r[12] &= 252;
-
-    // Decompose r into five 26-bit limbs.
-    let t0 = u32::from_le_bytes(r[0..4].try_into().unwrap()) as u64;
-    let t1 = u32::from_le_bytes(r[4..8].try_into().unwrap()) as u64;
-    let t2 = u32::from_le_bytes(r[8..12].try_into().unwrap()) as u64;
-    let t3 = u32::from_le_bytes(r[12..16].try_into().unwrap()) as u64;
-    let r0 = t0 & 0x3ff_ffff;
-    let r1 = ((t0 >> 26) | (t1 << 6)) & 0x3ff_ffff;
-    let r2 = ((t1 >> 20) | (t2 << 12)) & 0x3ff_ffff;
-    let r3 = ((t2 >> 14) | (t3 << 18)) & 0x3ff_ffff;
-    let r4 = (t3 >> 8) & 0x3ff_ffff;
-
-    let s1 = r1 * 5;
-    let s2 = r2 * 5;
-    let s3 = r3 * 5;
-    let s4 = r4 * 5;
-
-    let (mut h0, mut h1, mut h2, mut h3, mut h4) = (0u64, 0u64, 0u64, 0u64, 0u64);
-
+    let mut mac = Poly1305::new(key);
     for chunk in msg.chunks(16) {
-        // Load the (possibly short) chunk with the high "1" bit appended.
-        let mut block = [0u8; 17];
+        // A short final chunk gets the "1" byte appended right after it.
+        let mut block = [0u8; 16];
         block[..chunk.len()].copy_from_slice(chunk);
-        block[chunk.len()] = 1;
+        if chunk.len() == 16 {
+            mac.block(&block, 1);
+        } else {
+            block[chunk.len()] = 1;
+            mac.block(&block, 0);
+        }
+    }
+    mac.finish()
+}
+
+/// Incremental Poly1305 over 16-byte blocks, for callers that authenticate
+/// several disjoint buffers as one message without concatenating them (the
+/// AEAD's `aad‖pad‖ct‖pad‖lens`).
+pub(crate) struct Poly1305 {
+    r: [u64; 5],
+    s: [u64; 4],
+    h: [u64; 5],
+    pad: [u32; 4],
+}
+
+impl Poly1305 {
+    /// Starts a MAC under the 32-byte one-time key (`r ‖ s`, `r` clamped per
+    /// the RFC).
+    pub(crate) fn new(key: &[u8; 32]) -> Poly1305 {
+        let word = |i: usize| u32::from_le_bytes(key[4 * i..4 * i + 4].try_into().unwrap()) as u64;
+        // Clamp r and decompose it into five 26-bit limbs.
+        let (t0, t1, t2, t3) = (
+            word(0) & 0x0fff_ffff,
+            word(1) & 0x0fff_fffc,
+            word(2) & 0x0fff_fffc,
+            word(3) & 0x0fff_fffc,
+        );
+        let r0 = t0 & 0x3ff_ffff;
+        let r1 = ((t0 >> 26) | (t1 << 6)) & 0x3ff_ffff;
+        let r2 = ((t1 >> 20) | (t2 << 12)) & 0x3ff_ffff;
+        let r3 = ((t2 >> 14) | (t3 << 18)) & 0x3ff_ffff;
+        let r4 = (t3 >> 8) & 0x3ff_ffff;
+        Poly1305 {
+            r: [r0, r1, r2, r3, r4],
+            s: [r1 * 5, r2 * 5, r3 * 5, r4 * 5],
+            h: [0; 5],
+            pad: [word(4) as u32, word(5) as u32, word(6) as u32, word(7) as u32],
+        }
+    }
+
+    /// Absorbs `data` as a sequence of 16-byte blocks, zero-padding a short
+    /// final block to 16 bytes — exactly RFC 8439 §2.8's `pad16`, without
+    /// materializing the padding.
+    pub(crate) fn update_padded(&mut self, data: &[u8]) {
+        let mut chunks = data.chunks_exact(16);
+        for chunk in &mut chunks {
+            self.block(chunk.try_into().unwrap(), 1);
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut block = [0u8; 16];
+            block[..rest.len()].copy_from_slice(rest);
+            self.block(&block, 1);
+        }
+    }
+
+    /// One block step: `h = (h + block + hibit·2^128) · r mod 2^130 − 5`.
+    #[inline(always)]
+    fn block(&mut self, block: &[u8; 16], hibit: u64) {
+        let [r0, r1, r2, r3, r4] = self.r;
+        let [s1, s2, s3, s4] = self.s;
+        let [mut h0, mut h1, mut h2, mut h3, mut h4] = self.h;
 
         let t0 = u32::from_le_bytes(block[0..4].try_into().unwrap()) as u64;
         let t1 = u32::from_le_bytes(block[4..8].try_into().unwrap()) as u64;
         let t2 = u32::from_le_bytes(block[8..12].try_into().unwrap()) as u64;
         let t3 = u32::from_le_bytes(block[12..16].try_into().unwrap()) as u64;
-        let hi = block[16] as u64;
 
         h0 += t0 & 0x3ff_ffff;
         h1 += ((t0 >> 26) | (t1 << 6)) & 0x3ff_ffff;
         h2 += ((t1 >> 20) | (t2 << 12)) & 0x3ff_ffff;
         h3 += ((t2 >> 14) | (t3 << 18)) & 0x3ff_ffff;
-        h4 += (t3 >> 8) | (hi << 24);
+        h4 += (t3 >> 8) | (hibit << 24);
 
         // h *= r (mod 2^130 - 5), schoolbook with the 5*r folding trick.
-        let d0 = (h0 as u128) * (r0 as u128)
-            + (h1 as u128) * (s4 as u128)
-            + (h2 as u128) * (s3 as u128)
-            + (h3 as u128) * (s2 as u128)
-            + (h4 as u128) * (s1 as u128);
-        let d1 = (h0 as u128) * (r1 as u128)
-            + (h1 as u128) * (r0 as u128)
-            + (h2 as u128) * (s4 as u128)
-            + (h3 as u128) * (s3 as u128)
-            + (h4 as u128) * (s2 as u128);
-        let d2 = (h0 as u128) * (r2 as u128)
-            + (h1 as u128) * (r1 as u128)
-            + (h2 as u128) * (r0 as u128)
-            + (h3 as u128) * (s4 as u128)
-            + (h4 as u128) * (s3 as u128);
-        let d3 = (h0 as u128) * (r3 as u128)
-            + (h1 as u128) * (r2 as u128)
-            + (h2 as u128) * (r1 as u128)
-            + (h3 as u128) * (r0 as u128)
-            + (h4 as u128) * (s4 as u128);
-        let d4 = (h0 as u128) * (r4 as u128)
-            + (h1 as u128) * (r3 as u128)
-            + (h2 as u128) * (r2 as u128)
-            + (h3 as u128) * (r1 as u128)
-            + (h4 as u128) * (r0 as u128);
+        // Limbs stay below 2^27 and 5*r below 2^29, so each sum of five
+        // products stays below 2^59 and fits a u64.
+        let d0 = h0 * r0 + h1 * s4 + h2 * s3 + h3 * s2 + h4 * s1;
+        let d1 = h0 * r1 + h1 * r0 + h2 * s4 + h3 * s3 + h4 * s2;
+        let d2 = h0 * r2 + h1 * r1 + h2 * r0 + h3 * s4 + h4 * s3;
+        let d3 = h0 * r3 + h1 * r2 + h2 * r1 + h3 * r0 + h4 * s4;
+        let d4 = h0 * r4 + h1 * r3 + h2 * r2 + h3 * r1 + h4 * r0;
 
         // Carry propagation.
-        let mut c: u128;
-        c = d0 >> 26;
-        h0 = (d0 as u64) & 0x3ff_ffff;
+        let mut c = d0 >> 26;
+        h0 = d0 & 0x3ff_ffff;
         let d1 = d1 + c;
         c = d1 >> 26;
-        h1 = (d1 as u64) & 0x3ff_ffff;
+        h1 = d1 & 0x3ff_ffff;
         let d2 = d2 + c;
         c = d2 >> 26;
-        h2 = (d2 as u64) & 0x3ff_ffff;
+        h2 = d2 & 0x3ff_ffff;
         let d3 = d3 + c;
         c = d3 >> 26;
-        h3 = (d3 as u64) & 0x3ff_ffff;
+        h3 = d3 & 0x3ff_ffff;
         let d4 = d4 + c;
         c = d4 >> 26;
-        h4 = (d4 as u64) & 0x3ff_ffff;
-        h0 += (c as u64) * 5;
+        h4 = d4 & 0x3ff_ffff;
+        h0 += c * 5;
         h1 += h0 >> 26;
         h0 &= 0x3ff_ffff;
+
+        self.h = [h0, h1, h2, h3, h4];
     }
 
-    // Full carry.
-    let mut c;
-    c = h1 >> 26;
-    h1 &= 0x3ff_ffff;
-    h2 += c;
-    c = h2 >> 26;
-    h2 &= 0x3ff_ffff;
-    h3 += c;
-    c = h3 >> 26;
-    h3 &= 0x3ff_ffff;
-    h4 += c;
-    c = h4 >> 26;
-    h4 &= 0x3ff_ffff;
-    h0 += c * 5;
-    c = h0 >> 26;
-    h0 &= 0x3ff_ffff;
-    h1 += c;
+    /// Finishes the MAC: full carry, reduction mod 2^130 − 5, plus `s`.
+    pub(crate) fn finish(self) -> [u8; 16] {
+        let [mut h0, mut h1, mut h2, mut h3, mut h4] = self.h;
 
-    // Compute h + -p = h - (2^130 - 5) and select it if non-negative.
-    let mut g0 = h0.wrapping_add(5);
-    c = g0 >> 26;
-    g0 &= 0x3ff_ffff;
-    let mut g1 = h1.wrapping_add(c);
-    c = g1 >> 26;
-    g1 &= 0x3ff_ffff;
-    let mut g2 = h2.wrapping_add(c);
-    c = g2 >> 26;
-    g2 &= 0x3ff_ffff;
-    let mut g3 = h3.wrapping_add(c);
-    c = g3 >> 26;
-    g3 &= 0x3ff_ffff;
-    let g4 = h4.wrapping_add(c).wrapping_sub(1 << 26);
+        // Full carry.
+        let mut c;
+        c = h1 >> 26;
+        h1 &= 0x3ff_ffff;
+        h2 += c;
+        c = h2 >> 26;
+        h2 &= 0x3ff_ffff;
+        h3 += c;
+        c = h3 >> 26;
+        h3 &= 0x3ff_ffff;
+        h4 += c;
+        c = h4 >> 26;
+        h4 &= 0x3ff_ffff;
+        h0 += c * 5;
+        c = h0 >> 26;
+        h0 &= 0x3ff_ffff;
+        h1 += c;
 
-    // Branch-free select: mask = all-ones if g4 did not underflow.
-    let mask = (g4 >> 63).wrapping_sub(1);
-    h0 = (h0 & !mask) | (g0 & mask);
-    h1 = (h1 & !mask) | (g1 & mask);
-    h2 = (h2 & !mask) | (g2 & mask);
-    h3 = (h3 & !mask) | (g3 & mask);
-    h4 = (h4 & !mask) | (g4 & mask);
+        // Compute h + -p = h - (2^130 - 5) and select it if non-negative.
+        let mut g0 = h0.wrapping_add(5);
+        c = g0 >> 26;
+        g0 &= 0x3ff_ffff;
+        let mut g1 = h1.wrapping_add(c);
+        c = g1 >> 26;
+        g1 &= 0x3ff_ffff;
+        let mut g2 = h2.wrapping_add(c);
+        c = g2 >> 26;
+        g2 &= 0x3ff_ffff;
+        let mut g3 = h3.wrapping_add(c);
+        c = g3 >> 26;
+        g3 &= 0x3ff_ffff;
+        let g4 = h4.wrapping_add(c).wrapping_sub(1 << 26);
 
-    // Serialize h back to four little-endian u32 words.
-    let f0 = (h0 | (h1 << 26)) as u32;
-    let f1 = ((h1 >> 6) | (h2 << 20)) as u32;
-    let f2 = ((h2 >> 12) | (h3 << 14)) as u32;
-    let f3 = ((h3 >> 18) | (h4 << 8)) as u32;
+        // Branch-free select: mask = all-ones if g4 did not underflow.
+        let mask = (g4 >> 63).wrapping_sub(1);
+        h0 = (h0 & !mask) | (g0 & mask);
+        h1 = (h1 & !mask) | (g1 & mask);
+        h2 = (h2 & !mask) | (g2 & mask);
+        h3 = (h3 & !mask) | (g3 & mask);
+        h4 = (h4 & !mask) | (g4 & mask);
 
-    // tag = (h + s) mod 2^128
-    let s0 = u32::from_le_bytes(key[16..20].try_into().unwrap());
-    let s1 = u32::from_le_bytes(key[20..24].try_into().unwrap());
-    let s2 = u32::from_le_bytes(key[24..28].try_into().unwrap());
-    let s3 = u32::from_le_bytes(key[28..32].try_into().unwrap());
+        // Serialize h back to four little-endian u32 words.
+        let f = [
+            (h0 | (h1 << 26)) as u32,
+            ((h1 >> 6) | (h2 << 20)) as u32,
+            ((h2 >> 12) | (h3 << 14)) as u32,
+            ((h3 >> 18) | (h4 << 8)) as u32,
+        ];
 
-    let mut acc = (f0 as u64) + (s0 as u64);
-    let o0 = acc as u32;
-    acc = (acc >> 32) + (f1 as u64) + (s1 as u64);
-    let o1 = acc as u32;
-    acc = (acc >> 32) + (f2 as u64) + (s2 as u64);
-    let o2 = acc as u32;
-    acc = (acc >> 32) + (f3 as u64) + (s3 as u64);
-    let o3 = acc as u32;
-
-    let mut tag = [0u8; 16];
-    tag[0..4].copy_from_slice(&o0.to_le_bytes());
-    tag[4..8].copy_from_slice(&o1.to_le_bytes());
-    tag[8..12].copy_from_slice(&o2.to_le_bytes());
-    tag[12..16].copy_from_slice(&o3.to_le_bytes());
-    tag
+        // tag = (h + s) mod 2^128
+        let mut tag = [0u8; 16];
+        let mut acc = 0u64;
+        for i in 0..4 {
+            acc = (acc >> 32) + f[i] as u64 + self.pad[i] as u64;
+            tag[4 * i..4 * i + 4].copy_from_slice(&(acc as u32).to_le_bytes());
+        }
+        tag
+    }
 }
 
 /// Constant-time 16-byte tag comparison.

@@ -11,10 +11,27 @@
 //! territory (an adversary could flip bits — tests do), while `digests` and
 //! the AEAD key are enclave state. [`ExternalStore::scan`] is the streaming
 //! read path.
+//!
+//! **The digest is the block's AEAD tag.** [`BlockSealer`] is the sealing
+//! discipline shared by both sealed tiers (this store and `snoopy-store`'s
+//! disk segments). Block `index` of sealing round `seq` is sealed with
+//! ChaCha20-Poly1305 under nonce `(index, seq)` and AAD `index ‖ seq`, and its
+//! in-enclave digest is the resulting 16-byte Poly1305 tag. That is enough:
+//! `seq` is fresh for every rewrite of a block (a per-block write counter
+//! under a per-store salted key here, a random per-scan draw on disk), so no
+//! `(key, nonce)` pair ever repeats, and the tag authenticates the
+//! ciphertext *and* the `(index, seq)` it was sealed for. Opening first
+//! compares the host's stored tag with the in-enclave one — a flipped tag, a
+//! block moved from another index, or a stale block from an earlier round
+//! fails here — and then AEAD-opens the block, which refuses a ciphertext
+//! that does not match that tag. A second keyed hash over the whole sealed
+//! block would re-authenticate the same bytes at about the cost of the AEAD
+//! again.
 
-use snoopy_crypto::aead::{AeadKey, Nonce, SealedBox};
-use snoopy_crypto::hmac::hmac_sha256;
-use snoopy_crypto::Key256;
+use snoopy_crypto::aead::{AeadKey, Nonce, SealedBox, TAG_LEN};
+use snoopy_crypto::poly1305::tags_equal;
+use snoopy_crypto::rng::RngCore;
+use snoopy_crypto::{Key256, Prg};
 
 /// Errors surfaced by the integrity layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,19 +61,73 @@ impl std::fmt::Display for IntegrityError {
 
 impl std::error::Error for IntegrityError {}
 
+/// The in-enclave digest of one sealed block: its Poly1305 tag.
+pub type BlockDigest = [u8; TAG_LEN];
+
+/// Seals and opens storage blocks in place, with the block's AEAD tag as its
+/// in-enclave digest (see the module docs for why that suffices).
+#[derive(Clone, Debug)]
+pub struct BlockSealer {
+    aead: AeadKey,
+}
+
+impl BlockSealer {
+    /// A sealer under `key`.
+    pub fn new(key: Key256) -> BlockSealer {
+        BlockSealer { aead: AeadKey::new(key) }
+    }
+
+    fn nonce_aad(index: usize, seq: u64) -> (Nonce, [u8; 16]) {
+        let mut aad = [0u8; 16];
+        aad[..8].copy_from_slice(&(index as u64).to_le_bytes());
+        aad[8..].copy_from_slice(&seq.to_le_bytes());
+        (Nonce::from_parts(index as u32, seq), aad)
+    }
+
+    /// Encrypts `data` in place as block `index` of sealing round `seq` and
+    /// returns its tag: what the host stores beside the ciphertext, and the
+    /// block's in-enclave digest. `seq` must never repeat for one index
+    /// under one key.
+    pub fn seal(&self, index: usize, seq: u64, data: &mut [u8]) -> BlockDigest {
+        let (nonce, aad) = Self::nonce_aad(index, seq);
+        self.aead.seal_in_place(nonce, &aad, data)
+    }
+
+    /// Verifies block `index` of round `seq` and decrypts `data` in place.
+    /// The host's stored `tag` must equal the in-enclave `digest`, and must
+    /// authenticate `data` under `(index, seq)`; otherwise the block is
+    /// refused as [`IntegrityError::Corrupted`] and `data` is left as it was.
+    /// A caller rebuilding digests from an authenticated source passes the
+    /// stored tag as both.
+    pub fn open(
+        &self,
+        index: usize,
+        seq: u64,
+        data: &mut [u8],
+        tag: &BlockDigest,
+        digest: &BlockDigest,
+    ) -> Result<(), IntegrityError> {
+        if !tags_equal(tag, digest) {
+            return Err(IntegrityError::Corrupted { index });
+        }
+        let (nonce, aad) = Self::nonce_aad(index, seq);
+        self.aead
+            .open_in_place(nonce, &aad, data, tag)
+            .map_err(|_| IntegrityError::Corrupted { index })
+    }
+}
+
 /// AEAD-sealed blocks in untrusted memory with in-enclave digests.
 pub struct ExternalStore {
-    /// Untrusted: sealed blocks. Exposed mutably via
+    /// Untrusted: sealed blocks (ciphertext ‖ tag). Exposed mutably via
     /// [`ExternalStore::untrusted_blocks_mut`] so tests can play adversary.
     blocks: Vec<SealedBox>,
-    /// Trusted (in-enclave): HMAC digest per block.
-    digests: Vec<[u8; 32]>,
-    /// Trusted: channel key for sealing.
-    key: AeadKey,
-    /// Trusted: digest (MAC) key.
-    mac_key: Key256,
-    /// Per-block write counters, folded into nonces so rewrites never reuse
-    /// a (key, nonce) pair.
+    /// Trusted (in-enclave): the tag of each block's latest seal.
+    digests: Vec<BlockDigest>,
+    /// Trusted: the sealing key.
+    sealer: BlockSealer,
+    /// Per-block write counters: the `seq` each block was last sealed
+    /// under, so rewrites never reuse a (key, nonce) pair.
     versions: Vec<u64>,
     /// Fixed plaintext block length (public).
     block_len: usize,
@@ -66,22 +137,23 @@ impl ExternalStore {
     /// Creates a store of `n` blocks, each `block_len` plaintext bytes,
     /// initialized to zeros.
     pub fn new(root_key: &Key256, n: usize, block_len: usize) -> ExternalStore {
-        let key = AeadKey::new(root_key.derive(b"external-store-aead"));
-        let mac_key = root_key.derive(b"external-store-mac");
-        let mut store = ExternalStore {
-            blocks: Vec::with_capacity(n),
-            digests: Vec::with_capacity(n),
-            key,
-            mac_key,
-            versions: vec![0; n],
-            block_len,
-        };
+        // Write counters restart at zero in every store, and a store is
+        // rebuilt from plaintext under the same root key after a restart, so
+        // the sealing key takes a fresh salt per store: otherwise two stores
+        // would seal different contents under the same (key, nonce) pairs.
+        let mut salt = [0u8; 16];
+        Prg::from_entropy().fill_bytes(&mut salt);
+        let sealer = BlockSealer::new(root_key.derive(b"external-store-aead").derive(&salt));
+        let mut blocks = Vec::with_capacity(n);
+        let mut digests = Vec::with_capacity(n);
         for i in 0..n {
-            let sealed = store.seal(i, 0, &vec![0u8; block_len]);
-            store.digests.push(store.digest(&sealed));
-            store.blocks.push(sealed);
+            let mut bytes = vec![0u8; block_len + TAG_LEN];
+            let tag = sealer.seal(i, 0, &mut bytes[..block_len]);
+            bytes[block_len..].copy_from_slice(&tag);
+            digests.push(tag);
+            blocks.push(SealedBox { bytes });
         }
-        store
+        ExternalStore { blocks, digests, sealer, versions: vec![0; n], block_len }
     }
 
     /// Number of blocks.
@@ -99,48 +171,57 @@ impl ExternalStore {
         self.block_len
     }
 
-    fn seal(&self, index: usize, version: u64, plaintext: &[u8]) -> SealedBox {
-        assert_eq!(plaintext.len(), self.block_len, "block length is fixed and public");
-        let nonce = Nonce::from_parts(index as u32, version);
-        self.key.seal(nonce, &(index as u64).to_le_bytes(), plaintext)
-    }
-
-    fn digest(&self, sealed: &SealedBox) -> [u8; 32] {
-        hmac_sha256(&self.mac_key.0, &sealed.bytes)
-    }
-
-    /// Writes plaintext to block `index`.
+    /// Writes plaintext to block `index`, sealing it in place in the
+    /// untrusted block.
     pub fn put(&mut self, index: usize, plaintext: &[u8]) -> Result<(), IntegrityError> {
+        assert_eq!(plaintext.len(), self.block_len, "block length is fixed and public");
         if index >= self.blocks.len() {
             return Err(IntegrityError::OutOfRange { index });
         }
         self.versions[index] += 1;
-        let sealed = self.seal(index, self.versions[index], plaintext);
-        self.digests[index] = self.digest(&sealed);
-        self.blocks[index] = sealed;
+        let bytes = &mut self.blocks[index].bytes;
+        bytes.clear();
+        bytes.extend_from_slice(plaintext);
+        bytes.resize(self.block_len + TAG_LEN, 0);
+        let (data, tag) = bytes.split_at_mut(self.block_len);
+        let digest = self.sealer.seal(index, self.versions[index], data);
+        tag.copy_from_slice(&digest);
+        self.digests[index] = digest;
         Ok(())
     }
 
     /// Reads and verifies block `index`.
     pub fn get(&self, index: usize) -> Result<Vec<u8>, IntegrityError> {
-        if index >= self.blocks.len() {
-            return Err(IntegrityError::OutOfRange { index });
-        }
-        let sealed = &self.blocks[index];
-        if self.digest(sealed) != self.digests[index] {
+        let mut out = vec![0u8; self.block_len];
+        self.get_into(index, &mut out)?;
+        Ok(out)
+    }
+
+    /// Reads and verifies block `index` into `out` (`block_len` bytes)
+    /// without allocating — the scan path.
+    pub fn get_into(&self, index: usize, out: &mut [u8]) -> Result<(), IntegrityError> {
+        assert_eq!(out.len(), self.block_len, "block length is fixed and public");
+        let sealed = &self.blocks.get(index).ok_or(IntegrityError::OutOfRange { index })?.bytes;
+        if sealed.len() != self.block_len + TAG_LEN {
             return Err(IntegrityError::Corrupted { index });
         }
-        let nonce = Nonce::from_parts(index as u32, self.versions[index]);
-        self.key
-            .open(nonce, &(index as u64).to_le_bytes(), sealed)
-            .map_err(|_| IntegrityError::Corrupted { index })
+        let (ct, tag) = sealed.split_at(self.block_len);
+        out.copy_from_slice(ct);
+        self.sealer.open(
+            index,
+            self.versions[index],
+            out,
+            tag.try_into().unwrap(),
+            &self.digests[index],
+        )
     }
 
     /// Streams every block through `f` in order — the §7 host-loader path.
     /// Verification happens per block; the first corruption aborts the scan.
     pub fn scan(&self, mut f: impl FnMut(usize, &[u8])) -> Result<(), IntegrityError> {
+        let mut plain = vec![0u8; self.block_len];
         for i in 0..self.blocks.len() {
-            let plain = self.get(i)?;
+            self.get_into(i, &mut plain)?;
             f(i, &plain);
         }
         Ok(())
@@ -208,6 +289,19 @@ mod tests {
         s.put(4, &[2u8; 64]).unwrap();
         s.untrusted_blocks_mut()[4] = old;
         assert_eq!(s.get(4), Err(IntegrityError::Corrupted { index: 4 }));
+    }
+
+    #[test]
+    fn stores_under_one_root_key_never_share_a_keystream() {
+        // A restart rebuilds the store from plaintext under the same root
+        // key; its blocks must not be sealed under the earlier store's
+        // (key, nonce) pairs.
+        let (mut a, mut b) = (store(), store());
+        a.put(0, &[0x11; 64]).unwrap();
+        b.put(0, &[0x22; 64]).unwrap();
+        let (ca, cb) = (&a.untrusted_blocks_mut()[0].bytes, &b.untrusted_blocks_mut()[0].bytes);
+        let xor: Vec<u8> = ca[..64].iter().zip(&cb[..64]).map(|(x, y)| x ^ y).collect();
+        assert_ne!(xor, vec![0x11 ^ 0x22; 64], "keystream reused across stores");
     }
 
     #[test]

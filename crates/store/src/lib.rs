@@ -5,12 +5,25 @@
 //! AEAD-sealed **segment file** of fixed-size blocks, laid out for exactly
 //! the access pattern the subORAM has: a full sequential scan with
 //! unconditional write-back (Goodrich–Mitzenmacher, "Oblivious Storage with
-//! Low I/O Overhead"). The sealing discipline mirrors
-//! [`snoopy_enclave::external::ExternalStore`]: every block is sealed under
-//! a per-segment sequence number (folded into the nonce, so no (key, nonce)
-//! pair ever repeats), and a per-block HMAC digest stays *inside* the
-//! enclave, so the host can neither forge, swap, nor roll back individual
-//! blocks.
+//! Low I/O Overhead"). The sealing discipline is
+//! [`snoopy_enclave::external::ExternalStore`]'s, through the same
+//! [`BlockSealer`]: every block is sealed under a per-segment sequence
+//! number `seq` (folded into the nonce and the AAD), and the block's
+//! 16-byte Poly1305 tag is its digest, kept *inside* the enclave, so the
+//! host can neither forge, swap, nor roll back individual blocks.
+//!
+//! Why the tag is enough: `seq` is a fresh random draw for every scan and
+//! every resident commit, so the `(index, seq)` nonce never repeats under a
+//! key, and the tag binds the ciphertext to that `(index, seq)`. The scan
+//! compares the stored tag with the in-enclave one (a flipped tag, a block
+//! from another index or a stale block from an earlier `seq` fails here),
+//! then AEAD-opens the block, which refuses a body that does not match the
+//! tag. Across restarts the sealed checkpoint carries the root digest — an
+//! HMAC over `(seq, count, tags)` — and [`DiskBackend::open`] AEAD-opens
+//! every block while rebuilding the tags, so an altered body, a swapped
+//! block or a rolled-back generation is refused at boot. Verifying and
+//! re-digesting each block therefore costs one AEAD open and one seal, done
+//! in place in the scan's read buffer with no per-block allocation.
 //!
 //! The scan streams blocks through a bounded read-ahead/write-behind buffer
 //! — resident memory is O(`buffer_blocks`), not O(partition) — writing the
@@ -33,15 +46,15 @@
 #![warn(missing_docs)]
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use snoopy_crypto::aead::{AeadKey, Nonce, SealedBox};
+use snoopy_crypto::aead::TAG_LEN;
 use snoopy_crypto::hmac::hmac_sha256;
 use snoopy_crypto::rng::Rng;
 use snoopy_crypto::{Key256, Prg};
-use snoopy_enclave::external::IntegrityError;
+use snoopy_enclave::external::{BlockDigest, BlockSealer};
 use snoopy_enclave::wire::{StoredObject, REAL_ID_LIMIT};
 use snoopy_suboram::{
     decode_object, encode_object, SnapshotError, StorageBackend, StorageGeneration, SubOram,
@@ -53,7 +66,6 @@ use snoopy_telemetry::Public;
 
 const MAGIC: &[u8; 8] = b"SNPSEG01";
 const HEADER_LEN: usize = 40;
-const TAG_LEN: usize = 16;
 
 /// Which storage tier a subORAM partition lives in. Flows from the manifest
 /// (`storage = memory|external|disk`) and `SnoopyConfig` down to the backend
@@ -177,11 +189,11 @@ impl Drop for TempDir {
 }
 
 /// The file-backed [`StorageBackend`]: AEAD-sealed fixed-size blocks in a
-/// sequential-scan-friendly segment file, per-block digests in-enclave,
+/// sequential-scan-friendly segment file, per-block tags in-enclave,
 /// bounded-buffer streaming scan, crash-safe generation commit.
 pub struct DiskBackend {
     dir: PathBuf,
-    aead: AeadKey,
+    sealer: BlockSealer,
     mac_key: Key256,
     count: usize,
     value_len: usize,
@@ -192,8 +204,9 @@ pub struct DiskBackend {
     /// cause (key, nonce) reuse).
     seq: u64,
     generation: u64,
-    /// In-enclave per-block digests of the active sealed state.
-    digests: Vec<[u8; 32]>,
+    /// In-enclave per-block digests (Poly1305 tags) of the active sealed
+    /// state.
+    digests: Vec<BlockDigest>,
     /// Resident mode: the whole partition as plaintext objects in enclave
     /// memory (only when it fits the buffer budget); sealed at commit.
     resident: Option<Vec<StoredObject>>,
@@ -221,10 +234,8 @@ impl DiskBackend {
         clear_segments(dir)?;
         let mut b = DiskBackend::empty(dir.to_path_buf(), objects.len(), value_len, cfg, root_key);
         b.seq = b.prg.gen();
-        let blocks = b.seal_objects(objects, b.seq);
-        b.digests = blocks.iter().map(|s| b.block_digest(s)).collect();
         let path = b.gen_path(0);
-        b.write_segment(&path, b.seq, &blocks)?;
+        b.digests = b.write_segment(&path, b.seq, objects)?;
         fsync_dir(&b.dir)?;
         b.active_path = path;
         if b.nblocks() <= b.buffer_blocks {
@@ -249,9 +260,10 @@ impl DiskBackend {
     }
 
     /// Reopens the committed generation named by `expected` (from the sealed
-    /// checkpoint), re-deriving every in-enclave digest from the segment and
-    /// refusing to start if the root digest disagrees — host tampering or a
-    /// whole-store rollback while the enclave was down is detected here.
+    /// checkpoint), AEAD-opening every block while re-deriving its
+    /// in-enclave digest (tag) from the segment, and refusing to start if a
+    /// block fails to open or the root digest disagrees — host tampering or
+    /// a whole-store rollback while the enclave was down is detected here.
     /// Uncommitted pending segments and orphaned generations are removed.
     pub fn open(
         dir: &Path,
@@ -278,21 +290,24 @@ impl DiskBackend {
         b.seq = seq;
         b.generation = expected.generation;
 
-        // Stream the segment once, rebuilding the in-enclave digests (and
-        // the resident cache when the partition fits the buffer).
-        let sealed_len = b.sealed_len();
-        let mut sealed = vec![0u8; sealed_len];
+        // Stream the segment once, opening every block (the tags alone
+        // would let an altered body through) and rebuilding the in-enclave
+        // digests (and the resident cache when the partition fits the
+        // buffer).
+        let plain_len = b.plain_len();
+        let mut block = vec![0u8; b.sealed_len()];
         let mut resident =
             if b.nblocks() <= b.buffer_blocks { Some(Vec::with_capacity(count)) } else { None };
         for i in 0..b.nblocks() {
-            f.read_exact(&mut sealed)?;
-            let sb = SealedBox { bytes: sealed.clone() };
-            b.digests.push(b.block_digest(&sb));
+            f.read_exact(&mut block)?;
+            let (data, tag) = block.split_at_mut(plain_len);
+            let tag = BlockDigest::try_from(&*tag).unwrap();
+            b.sealer
+                .open(i, seq, data, &tag, &tag)
+                .map_err(|e| bad_data(&format!("segment block: {e}")))?;
+            b.digests.push(tag);
             if let Some(objs) = resident.as_mut() {
-                let plain = b
-                    .open_block(&sb, i, seq)
-                    .map_err(|e| bad_data(&format!("segment block: {e}")))?;
-                b.decode_block(&plain, i, &mut |o| objs.push(o.clone()));
+                b.decode_block(data, i, &mut |o| objs.push(o.clone()));
             }
         }
         if b.root_digest() != expected.digest {
@@ -323,7 +338,7 @@ impl DiskBackend {
         let objs_per_block = (cfg.block_bytes / obj_len).max(1);
         DiskBackend {
             dir,
-            aead: AeadKey::new(root_key.derive(b"disk-store-aead")),
+            sealer: BlockSealer::new(root_key.derive(b"disk-store-aead")),
             mac_key: root_key.derive(b"disk-store-mac"),
             count,
             value_len,
@@ -395,30 +410,10 @@ impl DiskBackend {
         self.dir.join(format!("gen-{generation}.seg"))
     }
 
-    fn seal_block(&self, plaintext: &[u8], index: usize, seq: u64) -> SealedBox {
-        debug_assert_eq!(plaintext.len(), self.plain_len());
-        self.aead.seal(Nonce::from_parts(index as u32, seq), &block_aad(index, seq), plaintext)
-    }
-
-    fn open_block(
-        &self,
-        sealed: &SealedBox,
-        index: usize,
-        seq: u64,
-    ) -> Result<Vec<u8>, IntegrityError> {
-        self.aead
-            .open(Nonce::from_parts(index as u32, seq), &block_aad(index, seq), sealed)
-            .map_err(|_| IntegrityError::Corrupted { index })
-    }
-
-    fn block_digest(&self, sealed: &SealedBox) -> [u8; 32] {
-        hmac_sha256(&self.mac_key.0, &sealed.bytes)
-    }
-
-    /// HMAC over (seq, count, every per-block digest): the whole-segment
+    /// HMAC over (seq, count, every block's tag): the whole-segment
     /// identity carried in the sealed checkpoint.
     fn root_digest(&self) -> [u8; 32] {
-        let mut buf = Vec::with_capacity(16 + self.digests.len() * 32);
+        let mut buf = Vec::with_capacity(16 + self.digests.len() * TAG_LEN);
         buf.extend_from_slice(&self.seq.to_le_bytes());
         buf.extend_from_slice(&(self.count as u64).to_le_bytes());
         for d in &self.digests {
@@ -434,39 +429,49 @@ impl DiskBackend {
 
     fn decode_block(&self, plain: &[u8], index: usize, visit: &mut dyn FnMut(&StoredObject)) {
         let obj_len = 8 + self.value_len;
+        let mut obj = StoredObject { id: 0, value: vec![0u8; self.value_len] };
         for j in 0..self.objs_in_block(index) {
-            visit(&decode_object(&plain[j * obj_len..(j + 1) * obj_len], self.value_len));
+            decode_object(&plain[j * obj_len..(j + 1) * obj_len], &mut obj);
+            visit(&obj);
         }
     }
 
-    fn seal_objects(&self, objects: &[StoredObject], seq: u64) -> Vec<SealedBox> {
+    /// Seals `objects` under `seq` into a new segment file at `path`, one
+    /// reused block buffer at a time, fsyncs it, and returns every block's
+    /// tag.
+    fn write_segment(
+        &self,
+        path: &Path,
+        seq: u64,
+        objects: &[StoredObject],
+    ) -> io::Result<Vec<BlockDigest>> {
         let obj_len = 8 + self.value_len;
-        let mut blocks = Vec::with_capacity(self.nblocks());
+        let plain_len = self.plain_len();
+        let mut out = BufWriter::with_capacity(1 << 16, File::create(path)?);
+        out.write_all(&segment_header(seq, self.count, self.value_len, self.objs_per_block))?;
+        let mut block = vec![0u8; self.sealed_len()];
+        let mut tags = Vec::with_capacity(self.nblocks());
         for i in 0..self.nblocks() {
-            let mut plain = vec![0u8; self.plain_len()];
-            for j in 0..self.objs_in_block(i) {
-                let o = &objects[i * self.objs_per_block + j];
-                plain[j * obj_len..(j + 1) * obj_len].copy_from_slice(&encode_object(o));
+            let n = self.objs_in_block(i);
+            for (j, o) in objects[i * self.objs_per_block..][..n].iter().enumerate() {
+                encode_object(o, &mut block[j * obj_len..(j + 1) * obj_len]);
             }
-            blocks.push(self.seal_block(&plain, i, seq));
+            block[n * obj_len..plain_len].fill(0);
+            let (data, tag) = block.split_at_mut(plain_len);
+            let digest = self.sealer.seal(i, seq, data);
+            tag.copy_from_slice(&digest);
+            tags.push(digest);
+            out.write_all(&block)?;
         }
-        blocks
-    }
-
-    fn write_segment(&self, path: &Path, seq: u64, blocks: &[SealedBox]) -> io::Result<File> {
-        let mut f = File::create(path)?;
-        f.write_all(&segment_header(seq, self.count, self.value_len, self.objs_per_block))?;
-        for b in blocks {
-            f.write_all(&b.bytes)?;
-        }
-        f.sync_all()?;
-        Ok(f)
+        out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        Ok(tags)
     }
 
     /// The streaming scan: bounded read-ahead from the active segment,
-    /// verify + open + visit + re-seal per block, bounded write-behind into
-    /// a new pending segment. On any failure the pending segment is removed
-    /// and the active state is untouched.
+    /// verify + open + visit + re-seal per block (in place in the read
+    /// buffer), bounded write-behind into a new pending segment. On any
+    /// failure the pending segment is removed and the active state is
+    /// untouched.
     fn scan_streaming(
         &mut self,
         visit: &mut dyn FnMut(&mut StoredObject),
@@ -487,6 +492,7 @@ impl DiskBackend {
         tmp_path: &Path,
     ) -> Result<(), SubOramError> {
         let sealed_len = self.sealed_len();
+        let plain_len = self.plain_len();
         let nblocks = self.nblocks();
         let obj_len = 8 + self.value_len;
         // Split the block budget between read-ahead and write-behind.
@@ -505,9 +511,11 @@ impl DiskBackend {
         let mut stalls = 0u64;
 
         let mut read_buf = vec![0u8; read_chunk * sealed_len];
-        let mut write_buf: Vec<u8> = Vec::with_capacity(write_cap * sealed_len);
+        let mut write_buf = vec![0u8; write_cap * sealed_len];
+        let mut staged = 0usize; // bytes of `write_buf` awaiting the flush
         let mut write_off = HEADER_LEN as u64;
         let mut new_digests = Vec::with_capacity(nblocks);
+        let mut obj = StoredObject { id: 0, value: vec![0u8; self.value_len] };
 
         let mut i = 0usize;
         while i < nblocks {
@@ -521,40 +529,38 @@ impl DiskBackend {
             bytes_read += buf.len() as u64;
             for j in 0..k {
                 let index = i + j;
-                let sealed =
-                    SealedBox { bytes: read_buf[j * sealed_len..(j + 1) * sealed_len].to_vec() };
-                if self.block_digest(&sealed) != self.digests[index] {
-                    return Err(IntegrityError::Corrupted { index }.into());
-                }
-                let mut plain =
-                    self.open_block(&sealed, index, self.seq).map_err(SubOramError::Integrity)?;
+                let block = &mut read_buf[j * sealed_len..(j + 1) * sealed_len];
+                let (data, tag) = block.split_at_mut(plain_len);
+                let stored = BlockDigest::try_from(&*tag).unwrap();
+                self.sealer.open(index, self.seq, data, &stored, &self.digests[index])?;
                 for s in 0..self.objs_in_block(index) {
                     let span = s * obj_len..(s + 1) * obj_len;
-                    let mut obj = decode_object(&plain[span.clone()], self.value_len);
+                    decode_object(&data[span.clone()], &mut obj);
                     visit(&mut obj);
-                    plain[span].copy_from_slice(&encode_object(&obj));
+                    encode_object(&obj, &mut data[span]);
                 }
-                let resealed = self.seal_block(&plain, index, new_seq);
-                new_digests.push(self.block_digest(&resealed));
-                write_buf.extend_from_slice(&resealed.bytes);
-                if write_buf.len() >= write_cap * sealed_len {
+                let digest = self.sealer.seal(index, new_seq, data);
+                tag.copy_from_slice(&digest);
+                new_digests.push(digest);
+                write_buf[staged..staged + sealed_len].copy_from_slice(block);
+                staged += sealed_len;
+                if staged == write_buf.len() {
                     // Write-behind buffer full: forced flush before the next
                     // read-ahead — a buffer stall.
                     dst.write_all(&write_buf)?;
-                    self.log(IoEvent::Write { offset: write_off, len: write_buf.len() as u64 });
-                    write_off += write_buf.len() as u64;
-                    bytes_written += write_buf.len() as u64;
+                    self.log(IoEvent::Write { offset: write_off, len: staged as u64 });
+                    write_off += staged as u64;
+                    bytes_written += staged as u64;
                     stalls += 1;
-                    write_buf.clear();
+                    staged = 0;
                 }
             }
             i += k;
         }
-        if !write_buf.is_empty() {
-            dst.write_all(&write_buf)?;
-            self.log(IoEvent::Write { offset: write_off, len: write_buf.len() as u64 });
-            bytes_written += write_buf.len() as u64;
-            write_buf.clear();
+        if staged > 0 {
+            dst.write_all(&write_buf[..staged])?;
+            self.log(IoEvent::Write { offset: write_off, len: staged as u64 });
+            bytes_written += staged as u64;
         }
         dst.flush()?;
 
@@ -589,13 +595,6 @@ fn segment_header(seq: u64, count: usize, value_len: usize, objs_per_block: usiz
     h.extend_from_slice(&(value_len as u64).to_le_bytes());
     h.extend_from_slice(&(objs_per_block as u64).to_le_bytes());
     h
-}
-
-fn block_aad(index: usize, seq: u64) -> [u8; 16] {
-    let mut aad = [0u8; 16];
-    aad[..8].copy_from_slice(&(index as u64).to_le_bytes());
-    aad[8..].copy_from_slice(&seq.to_le_bytes());
-    aad
 }
 
 fn bad_data(msg: &str) -> io::Error {
@@ -648,18 +647,16 @@ impl StorageBackend for DiskBackend {
             }
             return Ok(());
         }
-        let sealed_len = self.sealed_len();
+        let plain_len = self.plain_len();
         let mut f = File::open(&self.active_path)?;
         f.seek(SeekFrom::Start(HEADER_LEN as u64))?;
-        let mut sealed = vec![0u8; sealed_len];
+        let mut block = vec![0u8; self.sealed_len()];
         for i in 0..self.nblocks() {
-            f.read_exact(&mut sealed)?;
-            let sb = SealedBox { bytes: sealed.clone() };
-            if self.block_digest(&sb) != self.digests[i] {
-                return Err(IntegrityError::Corrupted { index: i }.into());
-            }
-            let plain = self.open_block(&sb, i, self.seq).map_err(SubOramError::Integrity)?;
-            self.decode_block(&plain, i, visit);
+            f.read_exact(&mut block)?;
+            let (data, tag) = block.split_at_mut(plain_len);
+            let stored = BlockDigest::try_from(&*tag).unwrap();
+            self.sealer.open(i, self.seq, data, &stored, &self.digests[i])?;
+            self.decode_block(data, i, visit);
         }
         Ok(())
     }
@@ -687,16 +684,13 @@ impl StorageBackend for DiskBackend {
         if self.resident.is_some() {
             // Resident partitions are sealed wholesale at commit time.
             let seq: u64 = self.prg.gen();
-            let objs = self.resident.take().expect("resident");
-            let blocks = self.seal_objects(&objs, seq);
-            self.resident = Some(objs);
-            self.digests = blocks.iter().map(|s| self.block_digest(s)).collect();
             let tmp = self.dir.join(format!("scan-{seq:016x}.tmp"));
-            self.write_segment(&tmp, seq, &blocks)?;
+            let objs = self.resident.as_deref().expect("resident");
+            self.digests = self.write_segment(&tmp, seq, objs)?;
             self.seq = seq;
             self.log(IoEvent::Write {
                 offset: 0,
-                len: (HEADER_LEN + blocks.len() * self.sealed_len()) as u64,
+                len: (HEADER_LEN + self.nblocks() * self.sealed_len()) as u64,
             });
             self.log(IoEvent::Fsync);
             fsyncs += 1;
@@ -874,6 +868,7 @@ pub fn generation_key(root: &Key256, generation: u64) -> Key256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snoopy_enclave::external::IntegrityError;
 
     const VLEN: usize = 24;
 

@@ -8,10 +8,11 @@
 //! 1. Build a two-tier oblivious hash table over the batch under a fresh key
 //!    (so bucket occupancy is unlinkable across batches).
 //! 2. Scan every stored object; for each, scan its tier-1 and tier-2 buckets
-//!    fully, performing a *pair* of oblivious compare-and-sets per slot — one
-//!    that may update the stored object (writes) and one that may fill the
-//!    request's response value (reads and pre-write values) — so that neither
-//!    the match nor the request type is observable.
+//!    fully, performing a *pair* of oblivious operations per slot — a
+//!    constant-time swap that applies a write and hands back its pre-write
+//!    value, then a conditional move that fills a read's response — so that
+//!    neither the match nor the request type is observable, and nothing is
+//!    allocated per slot.
 //! 3. Obliviously extract exactly the batch entries from the table and return
 //!    them as responses.
 //!
@@ -20,10 +21,10 @@
 //!
 //! Storage lives behind the [`StorageBackend`] trait: [`MemoryBackend`] keeps
 //! the partition in (modeled) enclave memory; [`ExternalBackend`] keeps it
-//! AEAD-sealed outside the enclave with per-block digests inside, mirroring
-//! the paper's deployment where partitions exceed the EPC (§7) — every object
-//! is re-sealed on every scan regardless of whether it changed, so writes are
-//! invisible to the host. The file-backed tier (`snoopy-store`'s
+//! AEAD-sealed outside the enclave with per-block digests (the blocks' AEAD
+//! tags) inside, mirroring the paper's deployment where partitions exceed
+//! the EPC (§7) — every object is re-sealed on every scan regardless of
+//! whether it changed, so writes are invisible to the host. The file-backed tier (`snoopy-store`'s
 //! `DiskBackend`) implements the same trait for larger-than-RAM partitions
 //! without touching the scan kernel.
 //!
@@ -131,7 +132,7 @@ impl std::error::Error for SnapshotError {}
 pub struct StorageGeneration {
     /// Monotone commit counter.
     pub generation: u64,
-    /// HMAC over the segment header and every per-block digest.
+    /// HMAC over the segment's `(seq, count)` and every block's tag.
     pub digest: [u8; 32],
 }
 
@@ -280,8 +281,10 @@ impl ExternalBackend {
         let count = objects.len();
         let block_len = 8 + value_len;
         let mut store = ExternalStore::new(key, count, block_len);
+        let mut plain = vec![0u8; block_len];
         for (i, o) in objects.iter().enumerate() {
-            store.put(i, &encode_object(o)).expect("in-range");
+            encode_object(o, &mut plain);
+            store.put(i, &plain).expect("in-range");
         }
         ExternalBackend { store, count, value_len }
     }
@@ -298,32 +301,34 @@ impl StorageBackend for ExternalBackend {
     }
 
     fn scan(&mut self, visit: &mut dyn FnMut(&mut StoredObject)) -> Result<(), SubOramError> {
+        // One plaintext buffer and one object, reused for every block.
+        let mut plain = vec![0u8; 8 + self.value_len];
+        let mut obj = StoredObject { id: 0, value: vec![0u8; self.value_len] };
         for i in 0..self.count {
-            let plain = self.store.get(i)?;
-            let mut obj = decode_object(&plain, self.value_len);
+            self.store.get_into(i, &mut plain)?;
+            decode_object(&plain, &mut obj);
             visit(&mut obj);
-            self.store.put(i, &encode_object(&obj))?;
+            encode_object(&obj, &mut plain);
+            self.store.put(i, &plain)?;
         }
         Ok(())
     }
 
     fn for_each(&self, visit: &mut dyn FnMut(&StoredObject)) -> Result<(), SubOramError> {
+        let mut plain = vec![0u8; 8 + self.value_len];
+        let mut obj = StoredObject { id: 0, value: vec![0u8; self.value_len] };
         for i in 0..self.count {
-            let plain = self.store.get(i)?;
-            visit(&decode_object(&plain, self.value_len));
+            self.store.get_into(i, &mut plain)?;
+            decode_object(&plain, &mut obj);
+            visit(&obj);
         }
         Ok(())
     }
 
     fn snapshot(&self) -> Result<Vec<StoredObject>, SnapshotError> {
-        (0..self.count)
-            .map(|i| {
-                self.store
-                    .get(i)
-                    .map(|p| decode_object(&p, self.value_len))
-                    .map_err(|e| SnapshotError::Failed(e.into()))
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.count);
+        self.for_each(&mut |o| out.push(o.clone())).map_err(SnapshotError::Failed)?;
+        Ok(out)
     }
 
     fn untrusted_image(&mut self) -> Option<Vec<u8>> {
@@ -679,36 +684,34 @@ fn validate_objects(objects: &[StoredObject], value_len: usize) {
 fn scan_step(obj: &mut StoredObject, table: &mut OHashTable, meter: &mut CostMeter) {
     let (b1, b2) = table.bucket_pair_mut(obj.id);
     for slot in b1.iter_mut().chain(b2.iter_mut()) {
-        let hit = ct_eq_u64(slot.req.id, obj.id);
+        let hit = ct_eq_u64(slot.req.id, obj.id).and(slot.req.is_permitted());
         let is_write = slot.req.is_write();
-        let permitted = slot.req.is_permitted();
-        // Pre-write value: captured before the write lands so reads *and*
-        // writes return the value as of the start of the batch. Both
-        // compare-and-sets also require the request's access-control bit
-        // (Appendix D): denied writes do not apply, denied reads get zeros.
-        let old = obj.value.clone();
-        obj.value.cmov(&slot.req.value, hit.and(is_write).and(permitted));
-        slot.req.value.cmov(&old, hit.and(permitted));
+        // Swap-select, allocation-free: a permitted write swaps its payload
+        // into the object and takes the pre-write value in the same pass; a
+        // permitted read then copies the value out. Both run on every slot,
+        // and both require the access-control bit (Appendix D): denied
+        // writes do not apply, denied reads get zeros. Batch ids are
+        // distinct, so at most one slot hits.
+        obj.value.cswap(&mut slot.req.value, hit.and(is_write));
+        slot.req.value.cmov(&obj.value, hit.and(!is_write));
         meter.oblivious_ops += 2;
     }
 }
 
 /// Fixed-layout object encoding shared by the sealed storage tiers:
-/// 8-byte little-endian id followed by the (fixed public length) value.
-pub fn encode_object(o: &StoredObject) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + o.value.len());
-    out.extend_from_slice(&o.id.to_le_bytes());
-    out.extend_from_slice(&o.value);
-    out
+/// 8-byte little-endian id followed by the (fixed public length) value,
+/// written into `out` (exactly `8 + value_len` bytes) without allocating.
+pub fn encode_object(o: &StoredObject, out: &mut [u8]) {
+    out[..8].copy_from_slice(&o.id.to_le_bytes());
+    out[8..].copy_from_slice(&o.value);
 }
 
-/// Inverse of [`encode_object`].
-pub fn decode_object(bytes: &[u8], value_len: usize) -> StoredObject {
-    assert_eq!(bytes.len(), 8 + value_len);
-    StoredObject {
-        id: u64::from_le_bytes(bytes[..8].try_into().unwrap()),
-        value: bytes[8..].to_vec(),
-    }
+/// Inverse of [`encode_object`], into a reused object whose value already
+/// has the public length, without allocating.
+pub fn decode_object(bytes: &[u8], obj: &mut StoredObject) {
+    assert_eq!(bytes.len(), 8 + obj.value.len());
+    obj.id = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+    obj.value.copy_from_slice(&bytes[8..]);
 }
 
 #[cfg(test)]
@@ -818,6 +821,71 @@ mod tests {
         // Reads did not clobber.
         for i in (1..200u64).step_by(2) {
             assert_eq!(s.peek(i).unwrap(), val((i % 251) as u8));
+        }
+    }
+
+    /// The scan's compare-and-set truth table, on every tier this crate
+    /// has: {read, write} × {permit 0, 1} × {id present, absent}, all in
+    /// one batch. Checks each response value and the stored state after.
+    #[test]
+    fn swap_select_truth_table_on_every_tier() {
+        type Build = fn() -> SubOram;
+        type Access = fn(&mut SubOram, Vec<Request>) -> Vec<Request>;
+        let tiers: [(&str, Build, Access); 3] = [
+            ("memory", || suboram(64), |s, b| s.batch_access(b).unwrap()),
+            ("memory-parallel", || suboram(64), |s, b| s.batch_access_parallel(b, 3).unwrap()),
+            (
+                "external",
+                || SubOram::new_external(objects(64), VLEN, Key256([3u8; 32]), 128),
+                |s, b| s.batch_access(b).unwrap(),
+            ),
+        ];
+        let payload = |id: u64| val(0x80 | id as u8);
+        for (tier, build, access) in tiers {
+            // (id, is_write, permit); ids below 64 are present, the rest absent.
+            let mut cases = Vec::new();
+            let mut batch = Vec::new();
+            for (n, (is_write, permit, present)) in [false, true]
+                .into_iter()
+                .flat_map(|w| [0u64, 1].map(move |p| (w, p)))
+                .flat_map(|(w, p)| [true, false].map(move |present| (w, p, present)))
+                .enumerate()
+            {
+                let id = if present { 10 + n as u64 } else { 1000 + n as u64 };
+                let mut r = if is_write {
+                    Request::write(id, &payload(id)[..4], VLEN, 1, n as u64)
+                } else {
+                    Request::read(id, VLEN, 1, n as u64)
+                };
+                r.permit = permit;
+                cases.push((id, is_write, permit == 1, present));
+                batch.push(r);
+            }
+            let mut s = build();
+            let out = access(&mut s, batch);
+            assert_eq!(out.len(), cases.len(), "{tier}");
+            // Nothing outside the batch moved.
+            for id in (0..64).filter(|id| cases.iter().all(|c| c.0 != *id)) {
+                assert_eq!(s.peek(id), Some(val((id % 251) as u8)), "{tier}: bystander {id}");
+            }
+            for (id, is_write, permitted, present) in cases {
+                let resp =
+                    &out.iter().find(|r| r.id == id).expect("one response per request").value;
+                let initial = val((id % 251) as u8);
+                let want_resp = match (is_write, permitted && present) {
+                    (_, true) => initial.clone(),      // the (pre-write) value
+                    (false, false) => vec![0u8; VLEN], // denied or absent read: zeros
+                    (true, false) => payload(id),      // denied or absent write: untouched
+                };
+                let case = format!("{tier}: id {id} write={is_write} permit={permitted}");
+                assert_eq!(resp, &want_resp, "response, {case}");
+                let want_stored = match (present, is_write && permitted) {
+                    (false, _) => None,
+                    (true, true) => Some(payload(id)),
+                    (true, false) => Some(initial),
+                };
+                assert_eq!(s.peek(id), want_stored, "stored value, {case}");
+            }
         }
     }
 
